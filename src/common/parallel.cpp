@@ -39,6 +39,8 @@ struct Job {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::size_t joined = 0;           // guarded by the pool mutex
+  std::size_t spans_closed = 0;     // joined workers past their region span
+                                    // (guarded by the pool mutex)
   std::mutex error_mutex;
   std::exception_ptr error;
 };
@@ -85,8 +87,12 @@ class Pool {
     tl_in_worker = false;
     {
       std::unique_lock<std::mutex> lk(mutex_);
+      // A traced region also waits for every joined worker to close its
+      // span, so a trace read right after the region holds all of them.
       done_cv_.wait(lk, [&] {
-        return job->done.load(std::memory_order_acquire) == job->chunks;
+        return job->done.load(std::memory_order_acquire) == job->chunks &&
+               (job->obs_region == nullptr ||
+                job->spans_closed == job->joined);
       });
       job_.reset();
     }
@@ -135,8 +141,13 @@ class Pool {
       }
       last = job;
       if (job->obs_region != nullptr) {
-        const obs::Span span(region_timer(), job->obs_region);
-        drain(*job);
+        {
+          const obs::Span span(region_timer(), job->obs_region);
+          drain(*job);
+        }
+        std::lock_guard<std::mutex> lk(mutex_);
+        ++job->spans_closed;
+        done_cv_.notify_all();
       } else {
         drain(*job);
       }

@@ -1,15 +1,25 @@
 #include "core/sample_index.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/error.hpp"
 
 namespace repro::core {
 
 std::vector<std::size_t> samples_in(const sim::Trace& trace,
                                     Interval window) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
-    if (window.contains(trace.samples[i].end)) out.push_back(i);
-  }
+  // Samples are ordered by run end, so the window is one index range.
+  const auto& samples = trace.samples;
+  const auto first = std::partition_point(
+      samples.begin(), samples.end(),
+      [&](const sim::RunNodeSample& s) { return s.end < window.begin; });
+  const auto last = std::partition_point(
+      first, samples.end(),
+      [&](const sim::RunNodeSample& s) { return s.end < window.end; });
+  std::vector<std::size_t> out(static_cast<std::size_t>(last - first));
+  std::iota(out.begin(), out.end(),
+            static_cast<std::size_t>(first - samples.begin()));
   return out;
 }
 

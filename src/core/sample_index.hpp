@@ -15,7 +15,8 @@ namespace repro::core {
 
 /// Indices of samples whose run ENDS inside [window.begin, window.end).
 /// (The label is observed at run end, so a sample belongs to the period in
-/// which its nvidia-smi snapshot was taken.)
+/// which its nvidia-smi snapshot was taken.) Relies on trace.samples being
+/// ordered by run end (see sim::Trace): O(log n) plus the output size.
 std::vector<std::size_t> samples_in(const sim::Trace& trace, Interval window);
 
 /// Ground-truth labels for the given sample indices.

@@ -124,16 +124,13 @@ inline float sigmoidf(float z) noexcept {
 constexpr std::size_t kMaxHistChunks = 16;
 constexpr std::size_t kMinHistGrain = 4096;
 
-// Accumulates the gradient/hessian histogram of rows[begin, end) into
-// `hist` (interleaved: hist[2b] = sum g, hist[2b+1] = sum h over packed bin
-// b) and their plain sums into G/H. Feature-outer: each splittable
-// feature's packed slice stays cache-resident while its code column is
-// gathered in ascending row order (partitioning is stable, so every node's
-// slice of the row-index buffer stays sorted).
-void accumulate_hist(const BinnedColumns& binned,
-                     const std::size_t* rows, std::size_t count,
-                     const float* grad, const float* hess,
-                     std::vector<double>& hist, double& G, double& H) {
+std::size_t hist_grain(std::size_t count) noexcept {
+  return chunk_grain_for(count, kMinHistGrain, kMaxHistChunks);
+}
+
+// Plain serial sums of grad/hess over rows[0, count).
+void sum_rows(const std::size_t* rows, std::size_t count, const float* grad,
+              const float* hess, double& G, double& H) {
   double g_sum = 0.0, h_sum = 0.0;
   for (std::size_t i = 0; i < count; ++i) {
     g_sum += grad[rows[i]];
@@ -141,10 +138,46 @@ void accumulate_hist(const BinnedColumns& binned,
   }
   G = g_sum;
   H = h_sum;
+}
+
+// G/H of a node's rows on the chunk grid of its histogram build: per-chunk
+// serial sums merged in ascending chunk order, so they are the same values
+// whether or not the histogram is built afterwards.
+void node_sums(const std::size_t* rows, std::size_t count, const float* grad,
+               const float* hess, double& G, double& H) {
+  G = 0.0;
+  H = 0.0;
+  if (count == 0) return;
+  const std::size_t grain = hist_grain(count);
+  const std::size_t nchunks = chunk_count(count, grain);
+  if (nchunks == 1) {
+    sum_rows(rows, count, grad, hess, G, H);
+    return;
+  }
+  std::vector<double> partial_G(nchunks), partial_H(nchunks);
+  parallel_for_chunks(
+      count, grain, [&](std::size_t c, std::size_t c_begin, std::size_t c_end) {
+        sum_rows(rows + c_begin, c_end - c_begin, grad, hess, partial_G[c],
+                 partial_H[c]);
+      });
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    G += partial_G[c];
+    H += partial_H[c];
+  }
+}
+
+// Accumulates the gradient/hessian histogram of rows[0, count) into `hist`
+// (interleaved: hist[2b] = sum g, hist[2b+1] = sum h over packed bin b).
+// Feature-outer: each splittable feature's packed slice stays cache-resident
+// while its code column is gathered in ascending row order (partitioning is
+// stable, so every node's slice of the row-index buffer stays sorted).
+void accumulate_hist(const BinnedColumns& binned, const std::size_t* rows,
+                     std::size_t count, const float* grad, const float* hess,
+                     double* hist) {
   for (std::size_t f = 0; f < binned.features; ++f) {
     if (binned.offsets[f + 1] == binned.offsets[f]) continue;
     const std::uint8_t* col = binned.column(f);
-    double* slice = hist.data() + 2 * binned.offsets[f];
+    double* slice = hist + 2 * binned.offsets[f];
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t r = rows[i];
       double* cell = slice + 2 * col[r];
@@ -154,41 +187,35 @@ void accumulate_hist(const BinnedColumns& binned,
   }
 }
 
-// Full histogram of rows[begin, end): chunked over rows with per-chunk
+// Full histogram of rows[0, count): chunked over rows with per-chunk
 // partials merged in ascending chunk order (fixed-order reduction), so the
-// sums are bit-identical for any thread count.
-void build_hist(const BinnedColumns& binned, const std::vector<std::size_t>& row_index,
-                std::size_t begin, std::size_t end,
-                const std::vector<float>& grad, const std::vector<float>& hess,
-                std::vector<double>& hist, double& G, double& H) {
-  const std::size_t count = end - begin;
-  const std::size_t width = 2 * binned.total_bins();
-  hist.assign(width, 0.0);
-  G = 0.0;
-  H = 0.0;
+// sums are bit-identical for any thread count. Chunk 0 accumulates straight
+// into `hist`; chunk c > 0 into scratch[c - 1] (one buffer of hist's width
+// per chunk after the first). A cell summed from +0.0 is never -0.0, so this
+// equals merging every partial into a zeroed histogram.
+void build_hist(const BinnedColumns& binned, const std::size_t* rows,
+                std::size_t count, const float* grad, const float* hess,
+                std::vector<double>& hist,
+                std::vector<std::vector<double>>& scratch) {
+  std::fill(hist.begin(), hist.end(), 0.0);
   if (count == 0) return;
   OBS_COUNT("gbdt.hist_builds");
-  const std::size_t grain =
-      chunk_grain_for(count, kMinHistGrain, kMaxHistChunks);
+  const std::size_t grain = hist_grain(count);
   const std::size_t nchunks = chunk_count(count, grain);
   if (nchunks == 1) {
-    accumulate_hist(binned, row_index.data() + begin, count, grad.data(),
-                    hess.data(), hist, G, H);
+    accumulate_hist(binned, rows, count, grad, hess, hist.data());
     return;
   }
-  std::vector<std::vector<double>> partial(nchunks);
-  std::vector<double> partial_G(nchunks, 0.0), partial_H(nchunks, 0.0);
   parallel_for_chunks(
       count, grain, [&](std::size_t c, std::size_t c_begin, std::size_t c_end) {
-        partial[c].assign(width, 0.0);
-        accumulate_hist(binned, row_index.data() + begin + c_begin,
-                        c_end - c_begin, grad.data(), hess.data(), partial[c],
-                        partial_G[c], partial_H[c]);
+        std::vector<double>& out = c == 0 ? hist : scratch[c - 1];
+        if (c > 0) std::fill(out.begin(), out.end(), 0.0);
+        accumulate_hist(binned, rows + c_begin, c_end - c_begin, grad, hess,
+                        out.data());
       });
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    for (std::size_t i = 0; i < width; ++i) hist[i] += partial[c][i];
-    G += partial_G[c];
-    H += partial_H[c];
+  for (std::size_t c = 1; c < nchunks; ++c) {
+    const std::vector<double>& part = scratch[c - 1];
+    for (std::size_t i = 0; i < hist.size(); ++i) hist[i] += part[i];
   }
 }
 
@@ -217,10 +244,35 @@ float GradientBoostedTrees::Tree::predict_binned(
   return nodes[static_cast<std::size_t>(i)].value;
 }
 
+// Histogram buffers reused across one fit, all 2 * total_bins doubles wide.
+// The fit owns the pool, and buffers are handed out and taken back only in
+// build_tree's serial phases, so which buffer a node gets never depends on
+// scheduling (and its contents never matter: every build zeroes it first).
+class GradientBoostedTrees::HistPool {
+ public:
+  explicit HistPool(std::size_t width) : width_(width) {}
+
+  std::vector<double> acquire() {
+    if (free_.empty()) return std::vector<double>(width_);
+    std::vector<double> buf = std::move(free_.back());
+    free_.pop_back();
+    return buf;
+  }
+  /// Takes `buf` back (a no-op for a buffer that was never handed out).
+  void release(std::vector<double>& buf) {
+    if (!buf.empty()) free_.push_back(std::move(buf));
+    buf = {};
+  }
+
+ private:
+  std::size_t width_;
+  std::vector<std::vector<double>> free_;
+};
+
 GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     const BinnedColumns& binned, std::vector<std::size_t>& row_index,
     const std::vector<float>& grad, const std::vector<float>& hess,
-    std::vector<LeafRange>& leaves) {
+    HistPool& pool, std::vector<LeafRange>& leaves) {
   Tree tree;
   tree.nodes.push_back({});
   leaves.clear();
@@ -231,8 +283,10 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
   struct BuildNode {
     std::int32_t node = 0;
     std::size_t begin = 0, end = 0;      // range in row_index
-    std::vector<double> hist;            // interleaved (g, h) per packed bin
     double G = 0.0, H = 0.0;
+    bool splittable = false;             // H can feed two children
+    std::vector<double> hist;            // interleaved (g, h) per packed bin
+    std::vector<std::vector<double>> scratch;  // chunk partials of a build
     std::vector<double> parent_hist;     // left child of a pair only
     double parent_G = 0.0, parent_H = 0.0;
     std::int32_t best_f = -1;
@@ -241,8 +295,33 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
   };
 
   const double lambda = params_.lambda;
+  const double mch = params_.min_child_hessian;
   const auto leaf_value = [&](double G, double H) {
     return static_cast<float>(-G / (H + lambda) * params_.learning_rate);
+  };
+  // A split needs HL >= mch and HR = H - HL >= mch. When H < 2 * mch and
+  // HL >= mch, Sterbenz makes H - HL exact, so HR < mch: no candidate of
+  // the scan can pass, and the node is a leaf without any histogram work.
+  const auto mark_splittable = [&](BuildNode& bn) {
+    bn.splittable = !(mch > 0.0 && bn.H < 2.0 * mch);
+    if (!bn.splittable) OBS_COUNT("gbdt.nodes_unsplittable");
+  };
+  const auto hand_out = [&](BuildNode& bn) {
+    bn.hist = pool.acquire();
+    const std::size_t rows = bn.end - bn.begin;
+    const std::size_t chunks = chunk_count(rows, hist_grain(rows));
+    bn.scratch.resize(chunks > 1 ? chunks - 1 : 0);
+    for (auto& buf : bn.scratch) buf = pool.acquire();
+  };
+  const auto build = [&](BuildNode& bn) {
+    build_hist(binned, row_index.data() + bn.begin, bn.end - bn.begin,
+               grad.data(), hess.data(), bn.hist, bn.scratch);
+  };
+  // (smaller, larger) of a sibling pair; the left child on a tie.
+  const auto by_size =
+      [](BuildNode& left, BuildNode& right) -> std::pair<BuildNode&, BuildNode&> {
+    if (left.end - left.begin <= right.end - right.begin) return {left, right};
+    return {right, left};
   };
 
   // Finds the best split of one frontier node from its packed histogram.
@@ -261,10 +340,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
         GL += slice[2 * c];
         HL += slice[2 * c + 1];
         const double HR = bn.H - HL;
-        if (HL < params_.min_child_hessian ||
-            HR < params_.min_child_hessian) {
-          continue;
-        }
+        if (HL < mch || HR < mch) continue;
         const double GR = bn.G - GL;
         const double gain = 0.5 * (GL * GL / (HL + lambda) +
                                    GR * GR / (HR + lambda) - parent_obj);
@@ -290,21 +366,50 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       parallel_for(level.size(), 1, [&](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) {
           BuildNode& bn = level[i];
-          double G = 0.0, H = 0.0;
-          for (std::size_t k = bn.begin; k < bn.end; ++k) {
-            G += grad[row_index[k]];
-            H += hess[row_index[k]];
-          }
-          bn.G = G;
-          bn.H = H;
+          sum_rows(row_index.data() + bn.begin, bn.end - bn.begin,
+                   grad.data(), hess.data(), bn.G, bn.H);
         }
       });
-      for (const BuildNode& bn : level) {
+      for (BuildNode& bn : level) {
         const float value = leaf_value(bn.G, bn.H);
         tree.nodes[static_cast<std::size_t>(bn.node)].value = value;
         leaves.push_back({bn.begin, bn.end, value});
+        pool.release(bn.parent_hist);
       }
       break;
+    }
+
+    // Phase 0 — serial: G/H of every frontier node before any histogram
+    // work, then hand out histogram buffers only where a scan needs one.
+    // The root sums its rows; in a sibling pair the smaller child sums its
+    // rows and the larger is parent - smaller, exactly the values the
+    // builds below would give.
+    if (depth == 0) {
+      BuildNode& root = level[0];
+      node_sums(row_index.data(), root.end, grad.data(), hess.data(), root.G,
+                root.H);
+      mark_splittable(root);
+      if (root.splittable) hand_out(root);
+    } else {
+      for (std::size_t p = 0; p < level.size() / 2; ++p) {
+        BuildNode& left = level[2 * p];
+        auto [small, large] = by_size(left, level[2 * p + 1]);
+        node_sums(row_index.data() + small.begin, small.end - small.begin,
+                  grad.data(), hess.data(), small.G, small.H);
+        large.G = left.parent_G - small.G;
+        large.H = left.parent_H - small.H;
+        mark_splittable(small);
+        mark_splittable(large);
+        // The smaller child is built whenever either child scans, since
+        // the larger one's histogram is derived from it.
+        if (small.splittable || large.splittable) hand_out(small);
+        std::vector<double> parent = std::move(left.parent_hist);
+        if (large.splittable) {
+          large.hist = std::move(parent);
+        } else {
+          pool.release(parent);
+        }
+      }
     }
 
     // Phase 1 — histograms + split search. The root builds directly; every
@@ -313,43 +418,42 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     // Pairs are independent; nested chunked builds run inline with
     // unchanged chunk grids, so results do not depend on the fan-out.
     if (depth == 0) {
-      build_hist(binned, row_index, level[0].begin, level[0].end, grad, hess,
-                 level[0].hist, level[0].G, level[0].H);
-      find_best_split(level[0]);
+      if (level[0].splittable) {
+        build(level[0]);
+        find_best_split(level[0]);
+      }
     } else {
       parallel_for(level.size() / 2, 1, [&](std::size_t p_begin, std::size_t p_end) {
         for (std::size_t p = p_begin; p < p_end; ++p) {
-          BuildNode& left = level[2 * p];
-          BuildNode& right = level[2 * p + 1];
-          const bool left_smaller =
-              left.end - left.begin <= right.end - right.begin;
-          BuildNode& small = left_smaller ? left : right;
-          BuildNode& large = left_smaller ? right : left;
-          build_hist(binned, row_index, small.begin, small.end, grad, hess,
-                     small.hist, small.G, small.H);
-          large.hist = std::move(left.parent_hist);
-          for (std::size_t i = 0; i < large.hist.size(); ++i) {
-            large.hist[i] -= small.hist[i];
+          auto [small, large] = by_size(level[2 * p], level[2 * p + 1]);
+          if (!small.splittable && !large.splittable) continue;
+          build(small);
+          if (large.splittable) {
+            for (std::size_t i = 0; i < large.hist.size(); ++i) {
+              large.hist[i] -= small.hist[i];
+            }
+            OBS_COUNT("gbdt.hist_subtractions");
+            find_best_split(large);
           }
-          OBS_COUNT("gbdt.hist_subtractions");
-          large.G = left.parent_G - small.G;
-          large.H = left.parent_H - small.H;
-          find_best_split(left);
-          find_best_split(right);
+          if (small.splittable) find_best_split(small);
         }
       });
     }
 
     // Phase 2 — serial: materialize leaves and allocate children so tree
-    // node ids and frontier order are scheduling-independent.
+    // node ids and frontier order are scheduling-independent. Leaves give
+    // their buffers back; a split's histogram moves to its left child for
+    // the next level's subtraction.
     std::vector<BuildNode> next;
     std::vector<std::size_t> splitting;
     for (std::size_t i = 0; i < level.size(); ++i) {
       BuildNode& bn = level[i];
+      for (auto& buf : bn.scratch) pool.release(buf);
       Node& node = tree.nodes[static_cast<std::size_t>(bn.node)];
       if (bn.best_f < 0) {
         node.value = leaf_value(bn.G, bn.H);
         leaves.push_back({bn.begin, bn.end, node.value});
+        pool.release(bn.hist);
         continue;
       }
       // Split nodes keep their own Newton value too: explain()'s path
@@ -369,18 +473,20 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       BuildNode child_left, child_right;
       child_left.node = left_id;
       child_right.node = left_id + 1;
+      child_left.parent_hist = std::move(bn.hist);
+      child_left.parent_G = bn.G;
+      child_left.parent_H = bn.H;
       next.push_back(std::move(child_left));
       next.push_back(std::move(child_right));
       splitting.push_back(i);
     }
 
     // Phase 3 — in-place stable partition of each splitting node's slice of
-    // the shared index buffer. Slices are disjoint, order within each side
-    // is preserved, and the parent histogram moves to the left child for
-    // the next level's subtraction.
+    // the shared index buffer. Slices are disjoint and order within each
+    // side is preserved.
     parallel_for(splitting.size(), 1, [&](std::size_t b, std::size_t e) {
       for (std::size_t k = b; k < e; ++k) {
-        BuildNode& bn = level[splitting[k]];
+        const BuildNode& bn = level[splitting[k]];
         const std::uint8_t* col =
             binned.column(static_cast<std::size_t>(bn.best_f));
         std::vector<std::size_t> spill;
@@ -395,15 +501,10 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
           }
         }
         std::copy(spill.begin(), spill.end(), row_index.begin() + static_cast<std::ptrdiff_t>(write));
-        BuildNode& child_left = next[2 * k];
-        BuildNode& child_right = next[2 * k + 1];
-        child_left.begin = bn.begin;
-        child_left.end = write;
-        child_right.begin = write;
-        child_right.end = bn.end;
-        child_left.parent_hist = std::move(bn.hist);
-        child_left.parent_G = bn.G;
-        child_left.parent_H = bn.H;
+        next[2 * k].begin = bn.begin;
+        next[2 * k].end = write;
+        next[2 * k + 1].begin = write;
+        next[2 * k + 1].end = bn.end;
       }
     });
     level = std::move(next);
@@ -442,6 +543,7 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   row_index.reserve(n);
   std::vector<std::uint8_t> in_sample(n, 0);
   std::vector<LeafRange> leaves;
+  HistPool pool(2 * binned.total_bins());
 
   for (std::size_t t = 0; t < params_.trees; ++t) {
     // Per-row gradients/hessians: disjoint writes, no accumulation.
@@ -474,7 +576,7 @@ void GradientBoostedTrees::fit(const Dataset& train) {
     }
     const std::size_t sampled = row_index.size();
 
-    Tree tree = build_tree(binned, row_index, grad, hess, leaves);
+    Tree tree = build_tree(binned, row_index, grad, hess, pool, leaves);
     OBS_COUNT("gbdt.trees_built");
 
     // In-subsample rows: their leaf is known from partitioning, so the

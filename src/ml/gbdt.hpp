@@ -14,6 +14,10 @@
 //     every candidate split; only the smaller child of a split builds its
 //     histogram from rows — the sibling is derived by subtracting it from
 //     the cached parent histogram, halving per-level histogram work;
+//   - a node's G/H is summed before any histogram work, and a node with
+//     H < 2 * min_child_hessian (no split can give both children enough
+//     hessian) becomes a leaf with no histogram build or scan at all;
+//   - histogram buffers are reused across the trees of a fit;
 //   - split gain = 1/2 [GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)] - gamma;
 //   - leaf value = -G/(H+l) (one Newton step), scaled by the learning rate;
 //   - training scores update by leaf-indexed lookup for in-subsample rows
@@ -157,10 +161,13 @@ class GradientBoostedTrees final : public Model {
     float value = 0.0f;
   };
 
+  /// Histogram buffers reused across the trees of one fit.
+  class HistPool;
+
   Tree build_tree(const BinnedColumns& binned,
                   std::vector<std::size_t>& row_index,
                   const std::vector<float>& grad,
-                  const std::vector<float>& hess,
+                  const std::vector<float>& hess, HistPool& pool,
                   std::vector<LeafRange>& leaves);
 
   Params params_;

@@ -109,6 +109,8 @@ struct Trace {
   Minute duration = 0;
 
   /// Samples ordered by run end minute (simulation completion order).
+  /// core::samples_in binary-searches on this order, read_trace rejects a
+  /// payload that breaks it, and ingest only ever drops samples.
   std::vector<RunNodeSample> samples;
   faults::SbeLog sbe_log;
   /// Dirty SBE events awaiting hardened ingest. Normally empty — the

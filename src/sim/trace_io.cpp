@@ -1,5 +1,6 @@
 #include "sim/trace_io.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -121,8 +122,12 @@ void write_vec(HashingWriter& out, const std::vector<T>& v) {
             v.size() * sizeof(T));
 }
 
-template <typename T>
-void read_vec(BoundedReader& in, std::vector<T>& v) {
+/// Reads a length-prefixed vector in blocks of about 1 MiB, calling
+/// visit(begin, end) on each block's element range right after it is read,
+/// while it is still in cache. A block is a multiple of 8 bytes, so the
+/// checksum equals that of one read of the whole vector.
+template <typename T, typename Visit>
+void read_vec(BoundedReader& in, std::vector<T>& v, Visit visit) {
   static_assert(std::is_trivially_copyable_v<T>);
   std::uint64_t n = 0;
   read_pod(in, n);
@@ -133,7 +138,19 @@ void read_vec(BoundedReader& in, std::vector<T>& v) {
                       << n << " elements, " << in.remaining
                       << " bytes remain");
   v.resize(n);
-  in.read(reinterpret_cast<char*>(v.data()), n * sizeof(T));
+  constexpr std::size_t kBlock =
+      std::max<std::size_t>(8, (std::size_t{1} << 20) / sizeof(T) / 8 * 8);
+  for (std::size_t begin = 0; begin < v.size(); begin += kBlock) {
+    const std::size_t end = std::min(v.size(), begin + kBlock);
+    in.read(reinterpret_cast<char*>(v.data() + begin),
+            (end - begin) * sizeof(T));
+    visit(begin, end);
+  }
+}
+
+template <typename T>
+void read_vec(BoundedReader& in, std::vector<T>& v) {
+  read_vec(in, v, [](std::size_t, std::size_t) {});
 }
 
 void write_hist(HashingWriter& out, const Histogram& h) {
@@ -328,7 +345,14 @@ Trace read_trace(const SimConfig& config, const std::string& path) {
 
   BoundedReader r{in, payload_bytes, {}};
   read_pod(r, trace.duration);
-  read_vec(r, trace.samples);
+  // Consumers binary-search samples by run end (core::samples_in), so a
+  // payload that breaks the order is corrupt even with a valid checksum.
+  bool ordered = true;
+  read_vec(r, trace.samples, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = std::max<std::size_t>(begin, 1); i < end; ++i) {
+      ordered &= trace.samples[i - 1].end <= trace.samples[i].end;
+    }
+  });
   std::vector<faults::SbeEvent> events;
   read_vec(r, events);
 
@@ -376,6 +400,8 @@ Trace read_trace(const SimConfig& config, const std::string& path) {
   REPRO_CHECK_MSG(r.sum.h == payload_hash,
                   "trace file " << path
                                 << " checksum mismatch (bit corruption)");
+  REPRO_CHECK_MSG(ordered, "trace file " << path
+                                         << " has samples out of run-end order");
   for (const auto& e : events) trace.sbe_log.add(e);
   return trace;
 }

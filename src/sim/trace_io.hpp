@@ -33,8 +33,9 @@ void save_trace(const Trace& trace, const SimConfig& config,
 
 /// Strict read: returns the trace or throws CheckError with a reason —
 /// unreadable file, version mismatch, config fingerprint mismatch,
-/// truncation (declared payload size vs bytes present), or checksum
-/// mismatch (bit corruption). Never crashes or over-reads on any input.
+/// truncation (declared payload size vs bytes present), checksum
+/// mismatch (bit corruption), or samples out of run-end order. Never
+/// crashes or over-reads on any input.
 Trace read_trace(const SimConfig& config, const std::string& path);
 
 /// Cache-facing read: nullopt when the file is missing, stale (version or

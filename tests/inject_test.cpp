@@ -4,9 +4,10 @@
 // the v06 trace format — errors always, crashes never.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -29,6 +30,65 @@ namespace repro {
 namespace {
 
 using repro::testing::shared_tiny_trace;
+
+// --- field-wise record equality ----------------------------------------------
+//
+// Every field of a record as one integer each, floats by bit pattern: as
+// strict as comparing the records' bytes, but blind to padding bytes, which
+// are indeterminate and may differ between two equal records.
+
+using Fields = std::vector<std::int64_t>;
+
+void add_float(Fields& out, float v) {
+  out.push_back(std::bit_cast<std::uint32_t>(v));
+}
+
+void add_four(Fields& out, const telemetry::FourStats& s) {
+  add_float(out, s.mean);
+  add_float(out, s.std);
+  add_float(out, s.diff_mean);
+  add_float(out, s.diff_std);
+}
+
+Fields fields(const faults::SbeEvent& e) {
+  return {e.run, e.app, e.node, e.start, e.end, e.count};
+}
+
+Fields fields(const sim::RunNodeSample& s) {
+  Fields out = {s.run, s.app, s.prev_app, s.node, s.start, s.end};
+  for (const float v : {s.runtime_min, s.num_nodes, s.gpu_core_hours,
+                        s.total_mem_gb, s.max_mem_gb}) {
+    add_float(out, v);
+  }
+  add_four(out, s.run_gpu_temp);
+  add_four(out, s.run_gpu_power);
+  for (const auto& w : s.pre_gpu_temp) add_four(out, w);
+  for (const auto& w : s.pre_gpu_power) add_four(out, w);
+  for (const float v : s.recent_gpu_temp) add_float(out, v);
+  for (const float v : s.recent_gpu_power) add_float(out, v);
+  out.push_back(s.recent_len);
+  add_four(out, s.run_cpu_temp);
+  add_four(out, s.slot_gpu_temp);
+  add_four(out, s.slot_gpu_power);
+  out.push_back(s.sbe_count);
+  add_float(out, s.expected_sbe);
+  return out;
+}
+
+template <typename Record>
+::testing::AssertionResult same_records(const std::vector<Record>& a,
+                                        const std::vector<Record>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes differ: " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (fields(a[i]) != fields(b[i])) {
+      return ::testing::AssertionFailure() << "records differ at index " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 // --- sanitize_events fixtures ----------------------------------------------
 
@@ -54,9 +114,7 @@ TEST(SanitizeEvents, CleanStreamPassesUntouched) {
   EXPECT_EQ(stats.accepted, 3u);
   EXPECT_EQ(stats.quarantined(), 0u);
   EXPECT_EQ(stats.reordered_repaired, 0u);
-  ASSERT_EQ(events.size(), original.size());
-  EXPECT_EQ(0, std::memcmp(events.data(), original.data(),
-                           events.size() * sizeof(faults::SbeEvent)));
+  EXPECT_TRUE(same_records(events, original));
 }
 
 TEST(SanitizeEvents, QuarantinesEveryFaultClass) {
@@ -110,6 +168,49 @@ TEST(RebuildLog, MatchesDirectLogOnCleanStream) {
     EXPECT_EQ(rebuilt.node_count_between(n, 0, trace.duration + 1),
               trace.sbe_log.node_count_between(n, 0, trace.duration + 1));
   }
+}
+
+// --- sample order -------------------------------------------------------------
+
+bool ordered_by_end(const std::vector<sim::RunNodeSample>& samples) {
+  return std::is_sorted(samples.begin(), samples.end(),
+                        [](const sim::RunNodeSample& a,
+                           const sim::RunNodeSample& b) {
+                          return a.end < b.end;
+                        });
+}
+
+TEST(SanitizeSamples, QuarantineKeepsRunEndOrder) {
+  // core::samples_in binary-searches samples by run end, so the sanitizer
+  // may drop samples but never reorder the survivors.
+  const sim::Trace& clean = shared_tiny_trace();
+  ASSERT_TRUE(ordered_by_end(clean.samples));
+  ASSERT_GT(clean.samples.size(), 100u);
+  sim::Trace trace = clean;
+  trace.samples[3].node = -1;                             // bad identity
+  trace.samples[40].start = trace.samples[40].end + 5;    // bad interval
+  trace.samples[41].runtime_min =
+      std::numeric_limits<float>::quiet_NaN();            // repaired
+  const auto stats = sim::sanitize_samples(trace, {});
+  EXPECT_EQ(stats.quarantined, 2u);
+  EXPECT_TRUE(ordered_by_end(trace.samples));
+
+  std::vector<sim::RunNodeSample> expected;
+  for (std::size_t i = 0; i < clean.samples.size(); ++i) {
+    if (i != 3 && i != 40) expected.push_back(clean.samples[i]);
+  }
+  ASSERT_EQ(trace.samples.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(trace.samples[i].run, expected[i].run) << "index " << i;
+    ASSERT_EQ(trace.samples[i].node, expected[i].node) << "index " << i;
+  }
+}
+
+TEST(SanitizeSamples, InjectedAndIngestedTraceKeepsRunEndOrder) {
+  sim::Trace trace = shared_tiny_trace();
+  inject::corrupt_trace(trace, inject::FaultConfig::uniform(0.25, 31));
+  sim::ingest_trace(trace);
+  EXPECT_TRUE(ordered_by_end(trace.samples));
 }
 
 // --- hardened telemetry store ----------------------------------------------
@@ -170,9 +271,7 @@ TEST(Injection, ZeroRatesAreAnExactNoOp) {
   EXPECT_EQ(report.total(), 0u);
   EXPECT_TRUE(trace.pending_sbe_events.empty());
   EXPECT_EQ(trace.sbe_log.events().size(), clean.sbe_log.events().size());
-  ASSERT_EQ(trace.samples.size(), clean.samples.size());
-  EXPECT_EQ(0, std::memcmp(trace.samples.data(), clean.samples.data(),
-                           trace.samples.size() * sizeof(sim::RunNodeSample)));
+  EXPECT_TRUE(same_records(trace.samples, clean.samples));
 }
 
 TEST(Injection, DeterministicAcrossThreadCounts) {
@@ -200,12 +299,8 @@ TEST(Injection, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(ingests[0].quarantined(), ingests[1].quarantined());
   EXPECT_EQ(ingests[0].repaired(), ingests[1].repaired());
   EXPECT_EQ(ingests[0].samples.fields_imputed, ingests[1].samples.fields_imputed);
-  ASSERT_EQ(samples[0].size(), samples[1].size());
-  EXPECT_EQ(0, std::memcmp(samples[0].data(), samples[1].data(),
-                           samples[0].size() * sizeof(sim::RunNodeSample)));
-  ASSERT_EQ(events[0].size(), events[1].size());
-  EXPECT_EQ(0, std::memcmp(events[0].data(), events[1].data(),
-                           events[0].size() * sizeof(faults::SbeEvent)));
+  EXPECT_TRUE(same_records(samples[0], samples[1]));
+  EXPECT_TRUE(same_records(events[0], events[1]));
 }
 
 TEST(Injection, AccountingClosesEndToEnd) {
@@ -325,9 +420,7 @@ TEST_F(TraceFileFuzz, RoundTripAndAtomicity) {
   EXPECT_FALSE(std::filesystem::exists(pristine_path() + ".tmp"));
   const sim::Trace reloaded = sim::read_trace(config(), pristine_path());
   const sim::Trace direct = sim::simulate(config());
-  ASSERT_EQ(reloaded.samples.size(), direct.samples.size());
-  EXPECT_EQ(0, std::memcmp(reloaded.samples.data(), direct.samples.data(),
-                           direct.samples.size() * sizeof(sim::RunNodeSample)));
+  EXPECT_TRUE(same_records(reloaded.samples, direct.samples));
   EXPECT_EQ(reloaded.sbe_log.events().size(), direct.sbe_log.events().size());
 }
 
@@ -390,6 +483,20 @@ TEST_F(TraceFileFuzz, RandomCorruptionNeverCrashesTheLoader) {
     }
     std::filesystem::remove(p);
   }
+}
+
+TEST_F(TraceFileFuzz, OutOfOrderSamplesAreRejected) {
+  // A well-formed file (valid checksum) whose samples break run-end order
+  // is still corrupt: readers binary-search samples by run end.
+  sim::Trace trace = sim::read_trace(config(), pristine_path());
+  ASSERT_GT(trace.samples.size(), 2u);
+  ASSERT_LT(trace.samples.front().end, trace.samples.back().end);
+  std::swap(trace.samples.front(), trace.samples.back());
+  const std::string p = pristine_path() + ".unordered";
+  sim::save_trace(trace, config(), p);
+  EXPECT_THROW((void)sim::read_trace(config(), p), CheckError);
+  EXPECT_FALSE(sim::load_trace(config(), p).has_value());
+  std::filesystem::remove(p);
 }
 
 TEST_F(TraceFileFuzz, VersionMismatchReadsAsStaleNotCorrupt) {

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 
 #include "common/parallel.hpp"
+#include "obs/obs.hpp"
 
 namespace repro::ml {
 namespace {
@@ -524,6 +527,152 @@ TEST(Gbdt, SubsamplingStillLearns) {
   GradientBoostedTrees gbdt(params, 5);
   gbdt.fit(d);
   EXPECT_GT(evaluate(d.y, gbdt.predict_batch(d.X)).accuracy, 0.97);
+}
+
+// A retrain-per-window shaped problem: ~110 rows x ~100 features with a
+// quarter of the features low-cardinality, like the sliding-window
+// retrains of the pipeline. After the first split or two most nodes hold
+// too little hessian to split (H < 2 * min_child_hessian).
+Dataset tiny_window(std::uint64_t seed) {
+  Dataset d;
+  d.X = random_matrix(112, 98, seed);
+  Rng rng(seed + 1);
+  for (std::size_t r = 0; r < d.X.rows(); ++r) {
+    for (std::size_t f = 0; f < d.X.cols(); f += 4) {
+      d.X.at(r, f) = static_cast<float>(rng.uniform_index(6));
+    }
+  }
+  for (std::size_t r = 0; r < d.X.rows(); ++r) {
+    const bool hot = d.X.at(r, 5) > 5.0f || d.X.at(r, 17) < -6.0f ||
+                     d.X.at(r, 8) == 3.0f;
+    d.y.push_back(hot != rng.bernoulli(0.05) ? 1 : 0);
+  }
+  return d;
+}
+
+GradientBoostedTrees::Params tiny_window_params() {
+  GradientBoostedTrees::Params params;
+  params.trees = 60;
+  params.pos_weight = 3.5;
+  params.subsample = 1.0;  // keep the naive engine on the same row set
+  return params;
+}
+
+struct FitResult {
+  std::vector<std::vector<std::pair<std::int32_t, float>>> splits;
+  std::vector<float> probs;
+  std::uint64_t unsplittable = 0;  ///< gbdt.nodes_unsplittable delta
+};
+
+FitResult fit_once(const Dataset& d, const GradientBoostedTrees::Params& params,
+                   std::size_t threads) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& skipped = obs::counter("gbdt.nodes_unsplittable");
+  const std::uint64_t before = skipped.value();
+  set_parallel_threads(threads);
+  GradientBoostedTrees gbdt(params, 5);
+  gbdt.fit(d);
+  set_parallel_threads(1);
+  FitResult out;
+  out.unsplittable = skipped.value() - before;
+  obs::set_enabled(was_enabled);
+  for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
+    out.splits.push_back(gbdt.tree_splits(t));
+  }
+  out.probs = gbdt.predict_proba_many(d.X);
+  return out;
+}
+
+// Fits at 1, 2 and 8 threads: every fit must be bitwise identical, and the
+// trees must match the naive engine split-for-split.
+FitResult expect_naive_and_thread_invariant(
+    const Dataset& d, const GradientBoostedTrees::Params& params) {
+  const FitResult ref = fit_once(d, params, 1);
+  for (const std::size_t threads : {2, 8}) {
+    const FitResult other = fit_once(d, params, threads);
+    EXPECT_EQ(other.splits, ref.splits) << threads << " threads";
+    EXPECT_EQ(other.unsplittable, ref.unsplittable) << threads << " threads";
+    EXPECT_EQ(other.probs, ref.probs) << threads << " threads";  // bitwise
+  }
+  NaiveGbdt naive(params);
+  naive.fit(d);
+  std::size_t total_splits = 0;
+  for (std::size_t t = 0; t < ref.splits.size(); ++t) {
+    EXPECT_EQ(ref.splits[t], naive.tree_splits(t)) << "tree " << t;
+    total_splits += ref.splits[t].size();
+  }
+  EXPECT_GT(total_splits, params.trees);  // the trees actually grew
+  for (std::size_t r = 0; r < d.X.rows(); ++r) {
+    EXPECT_NEAR(ref.probs[r], naive.predict_proba(d.X.row(r)), 1e-4f)
+        << "row " << r;
+  }
+  return ref;
+}
+
+TEST(Gbdt, TinyWindowMatchesNaiveAndIsThreadInvariant) {
+  // Default min_child_hessian: most nodes become leaves without a
+  // histogram, and the trees must still be exactly the naive engine's.
+  const Dataset d = tiny_window(61);
+  const auto params = tiny_window_params();
+  ASSERT_GT(params.min_child_hessian, 0.0);
+  const FitResult fit = expect_naive_and_thread_invariant(d, params);
+  EXPECT_GT(fit.unsplittable, params.trees);  // the skip actually ran
+}
+
+TEST(Gbdt, TinyWindowWithoutMinChildHessianMatchesNaive) {
+  // min_child_hessian = 0 turns the unsplittable-node skip off: every
+  // frontier node builds and scans its histogram.
+  const Dataset d = tiny_window(61);
+  auto params = tiny_window_params();
+  params.min_child_hessian = 0.0;
+  const FitResult fit = expect_naive_and_thread_invariant(d, params);
+  EXPECT_EQ(fit.unsplittable, 0u);
+}
+
+// FNV-1a over the bit patterns of every prediction and split.
+std::uint64_t fit_hash(const FitResult& fit) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& tree : fit.splits) {
+    mix(static_cast<std::uint32_t>(tree.size()));
+    for (const auto& [feature, threshold] : tree) {
+      mix(static_cast<std::uint32_t>(feature));
+      mix(std::bit_cast<std::uint32_t>(threshold));
+    }
+  }
+  for (const float p : fit.probs) mix(std::bit_cast<std::uint32_t>(p));
+  return h;
+}
+
+TEST(Gbdt, GoldenPredictionHash) {
+  // Pins fitted trees and predictions bit-for-bit to the engine before the
+  // histogram pool and the unsplittable-node skip went in: both must be
+  // exact. One tiny-window fit (mostly skipped nodes) and one fit large
+  // enough for multi-chunk histogram builds and out-of-subsample updates.
+  // A deliberate change to the model's arithmetic must re-pin these.
+  const Dataset tiny = tiny_window(71);
+  auto tiny_params = tiny_window_params();
+  tiny_params.subsample = 0.9;
+  EXPECT_EQ(fit_hash(fit_once(tiny, tiny_params, 1)), 0xe6d3f186f45e28f6ull);
+
+  Dataset large;
+  large.X = random_matrix(9'000, 6, 81);
+  Rng rng(82);
+  for (std::size_t r = 0; r < large.X.rows(); ++r) {
+    const double z = 0.7 * large.X.at(r, 0) - 0.4 * large.X.at(r, 3) - 2.0;
+    large.y.push_back(rng.bernoulli(1.0 / (1.0 + std::exp(-z))) ? 1 : 0);
+  }
+  GradientBoostedTrees::Params large_params;
+  large_params.trees = 12;
+  large_params.min_child_hessian = 4.0;
+  EXPECT_EQ(fit_hash(fit_once(large, large_params, 1)), 0x5ebb1904e29f352eull);
+  EXPECT_EQ(fit_hash(fit_once(large, large_params, 4)), 0x5ebb1904e29f352eull);
 }
 
 }  // namespace

@@ -12,8 +12,12 @@
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "core/sample_index.hpp"
 #include "faults/sbe_log.hpp"
+#include "inject/inject.hpp"
 #include "ml/metrics.hpp"
+#include "sim/ingest.hpp"
+#include "support/test_trace.hpp"
 #include "telemetry/series.hpp"
 #include "topology/topology.hpp"
 
@@ -147,6 +151,55 @@ TEST_P(PropertyTest, SbeLogCountsMatchNaiveScan) {
     EXPECT_EQ(log.app_count_between(app, lo, hi), app_ref);
     EXPECT_EQ(log.global_count_between(lo, hi), global_ref);
     EXPECT_EQ(log.app_node_count_between(app, node, lo, hi), pair_ref);
+  }
+}
+
+// Reference for core::samples_in: the linear scan it replaced.
+std::vector<std::size_t> samples_in_by_scan(const sim::Trace& trace,
+                                            Interval window) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    if (window.contains(trace.samples[i].end)) out.push_back(i);
+  }
+  return out;
+}
+
+TEST_P(PropertyTest, SamplesInMatchesLinearScan) {
+  // On a simulated trace and on an injected + ingested copy of it: random
+  // windows, windows that start or end exactly on a sample's run end,
+  // empty and inverted windows, and windows past either end of the trace.
+  const sim::Trace& clean = testing::shared_tiny_trace();
+  sim::Trace dirty = clean;
+  inject::corrupt_trace(
+      dirty, inject::FaultConfig::uniform(
+                 0.2, static_cast<std::uint64_t>(GetParam())));
+  sim::ingest_trace(dirty);
+  const sim::Trace* const traces[] = {&clean, &dirty};
+  for (const sim::Trace* trace : traces) {
+    ASSERT_FALSE(trace->samples.empty());
+    const auto any_end = [&] {
+      return trace->samples[rng_.uniform_index(trace->samples.size())].end;
+    };
+    const auto any_minute = [&] {
+      return rng_.uniform_int(-50, trace->duration + 50);
+    };
+    for (int i = 0; i < 200; ++i) {
+      Interval window;
+      switch (i % 4) {
+        case 0: window = {any_minute(), any_minute()}; break;
+        case 1: window = {any_end(), any_end()}; break;
+        case 2: window = {any_end(), any_end() + 1}; break;
+        default: window = {any_end() - 1, any_minute()}; break;
+      }
+      if (i % 8 < 4 && window.end < window.begin) {
+        std::swap(window.begin, window.end);
+      }
+      ASSERT_EQ(core::samples_in(*trace, window),
+                samples_in_by_scan(*trace, window))
+          << "window [" << window.begin << ", " << window.end << ")";
+    }
+    EXPECT_EQ(core::samples_in(*trace, {0, trace->duration + 1}).size(),
+              trace->samples.size());
   }
 }
 
