@@ -18,15 +18,13 @@ int main() {
   TextTable t({"Dataset", "approach 1 F1", "approach 2 F1", "a1 P/R",
                "a2 P/R"});
   for (const auto& split : bench::paper_splits()) {
-    core::TwoStageConfig measured;
-    core::TwoStageConfig forecasted;
-    forecasted.features.forecast_current_run = true;
-
-    core::TwoStagePredictor p1(measured), p2(forecasted);
-    p1.train(trace, split.train);
-    p2.train(trace, split.train);
-    const auto m1 = p1.evaluate(trace, split.test);
-    const auto m2 = p2.evaluate(trace, split.test);
+    const ml::ClassMetrics m1 =
+        core::run_two_stage(trace, {}, split.train, split.test).metrics;
+    const ml::ClassMetrics m2 =
+        core::run_two_stage(trace,
+                            {.features = {.forecast_current_run = true}},
+                            split.train, split.test)
+            .metrics;
     t.add_row({split.name, fmt(m1.positive.f1, 3), fmt(m2.positive.f1, 3),
                fmt(m1.positive.precision, 2) + "/" + fmt(m1.positive.recall, 2),
                fmt(m2.positive.precision, 2) + "/" + fmt(m2.positive.recall, 2)});

@@ -13,9 +13,6 @@ ml::ClassMetrics with_params(const sim::Trace& trace,
                              const core::SplitSpec& split,
                              std::size_t trees, std::size_t depth,
                              double pos_weight, float threshold) {
-  core::TwoStageConfig config;
-  config.threshold = threshold;
-  core::TwoStagePredictor predictor(config);
   // Rebuild the stage-2 model by hand to vary GBDT parameters.
   const features::FeatureExtractor fx(trace, {});
   const auto mask = trace.sbe_log.offender_mask(0, split.train.end);

@@ -47,21 +47,17 @@ int main() {
                 "the training cost (Sec. VI-C2)");
   const sim::Trace& trace = bench::paper_trace();
   const core::SplitSpec ds1 = bench::paper_splits()[0];
-  const auto idx = core::samples_in(trace, ds1.test);
 
   TextTable t({"Pipeline", "F1", "Precision", "Recall", "train rows",
                "fit seconds"});
 
   for (const double ratio : {0.0, 2.0}) {
-    core::TwoStageConfig config;
-    config.undersample_ratio = ratio;
-    core::TwoStagePredictor p(config);
-    p.train(trace, ds1.train);
-    const auto m = core::evaluate_predictions(trace, idx, p.predict(trace, idx));
+    const core::TwoStageRun run = core::run_two_stage(
+        trace, {.undersample_ratio = ratio}, ds1.train, ds1.test);
+    const auto& m = run.metrics;
     t.add_row(ratio == 0.0 ? "TwoStage (paper)" : "TwoStage + undersample 2:1",
               {m.positive.f1, m.positive.precision, m.positive.recall,
-               static_cast<double>(p.stage2_training_size()),
-               p.train_seconds()});
+               static_cast<double>(run.stage2_size), run.train_seconds});
   }
   for (const double ratio : {0.0, 2.0}) {
     double seconds = 0.0;

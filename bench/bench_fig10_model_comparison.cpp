@@ -26,12 +26,12 @@ int main() {
   for (const auto kind :
        {ml::ModelKind::kLogisticRegression, ml::ModelKind::kGbdt,
         ml::ModelKind::kSvm, ml::ModelKind::kNeuralNetwork}) {
-    double seconds = 0.0;
-    const auto m = bench::run_two_stage(trace, ds1, kind,
-                                        features::kAllFeatures, &seconds);
+    const core::TwoStageRun run =
+        core::run_two_stage(trace, {.model = kind}, ds1.train, ds1.test);
+    const auto& m = run.metrics;
     t.add_row(std::string(ml::to_string(kind)),
               {m.positive.f1, m.positive.precision, m.positive.recall,
-               seconds});
+               run.train_seconds});
   }
   std::printf("%s\n", t.render().c_str());
   std::printf("paper Fig 10: BasicA F1 .56 | LR .67 | GBDT .81 | SVM .70 | NN .69\n");

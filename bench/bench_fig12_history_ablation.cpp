@@ -26,15 +26,16 @@ int main() {
   TextTable t({"Dataset", "All F1", "- Global", "- Local", "- Today",
                "- Yesterday", "- Before"});
   for (const auto& split : bench::paper_splits()) {
-    const double full =
-        bench::run_two_stage(trace, split, ml::ModelKind::kGbdt).positive.f1;
+    const auto f1_with = [&](features::FeatureMask mask) {
+      return core::run_two_stage(trace, {.features = {.mask = mask}},
+                                 split.train, split.test)
+          .metrics.positive.f1;
+    };
+    const double full = f1_with(features::kAllFeatures);
     std::vector<std::string> row = {split.name, fmt(full, 3)};
     for (const Removal& r : removals) {
-      const auto m = bench::run_two_stage(
-          trace, split, ml::ModelKind::kGbdt,
-          features::kAllFeatures & ~r.removed);
-      const double delta =
-          full > 0.0 ? 100.0 * (m.positive.f1 - full) / full : 0.0;
+      const double f1 = f1_with(features::kAllFeatures & ~r.removed);
+      const double delta = full > 0.0 ? 100.0 * (f1 - full) / full : 0.0;
       row.push_back(fmt(delta, 1) + "%");
     }
     t.add_row(row);

@@ -16,11 +16,10 @@ int main() {
   const sim::Trace& trace = bench::paper_trace();
   const core::SplitSpec ds1 = bench::paper_splits()[0];
 
-  core::TwoStagePredictor predictor({});
-  predictor.train(trace, ds1.train);
-  const auto idx = core::samples_in(trace, ds1.test);
-  const auto pred = predictor.predict(trace, idx);
-  const core::CabinetCounts counts = core::cabinet_counts(trace, idx, pred);
+  const core::TwoStageRun run =
+      core::run_two_stage(trace, {}, ds1.train, ds1.test);
+  const core::CabinetCounts counts =
+      core::cabinet_counts(trace, run.idx, run.pred);
 
   const EmpiricalCdf truth_cdf = make_cdf(counts.ground_truth);
   const EmpiricalCdf pred_cdf = make_cdf(counts.predicted);

@@ -18,7 +18,7 @@ int main() {
 
   // All 12 split x model cells fan out across the thread pool at once;
   // cell results are deterministic and ordered split-major.
-  const auto grid = bench::run_two_stage_grid(trace, splits, models);
+  const auto grid = core::two_stage_sweep(trace, splits, models, {});
 
   TextTable t({"Dataset", "Basic A", "LR", "GBDT", "SVM", "NN"});
   for (std::size_t s = 0; s < splits.size(); ++s) {
@@ -30,7 +30,7 @@ int main() {
         core::evaluate_predictions(trace, idx, basic_a.predict(trace, idx));
     std::vector<double> row = {mb.positive.f1};
     for (std::size_t m = 0; m < models.size(); ++m) {
-      row.push_back(grid[s * models.size() + m].metrics.positive.f1);
+      row.push_back(grid[s * models.size() + m].run.metrics.positive.f1);
     }
     t.add_row(split.name, row);
     std::printf("%s done\n", split.name.c_str());

@@ -23,7 +23,10 @@ int main() {
 
   TextTable t({"Feature Set", "Precision", "Recall", "F1 Score"});
   for (const Set& s : sets) {
-    const auto m = bench::run_two_stage(trace, ds1, ml::ModelKind::kGbdt, s.mask);
+    const ml::ClassMetrics m =
+        core::run_two_stage(trace, {.features = {.mask = s.mask}}, ds1.train,
+                            ds1.test)
+            .metrics;
     t.add_row(s.name, {m.positive.precision, m.positive.recall, m.positive.f1}, 3);
     std::printf("%s done\n", s.name);
   }

@@ -12,11 +12,10 @@ int main() {
   const sim::Trace& trace = bench::paper_trace();
   const core::SplitSpec ds1 = bench::paper_splits()[0];
 
-  core::TwoStagePredictor predictor({});
-  predictor.train(trace, ds1.train);
-  const auto idx = core::samples_in(trace, ds1.test);
-  const auto pred = predictor.predict(trace, idx);
-  const core::RuntimeBreakdown rb = core::runtime_breakdown(trace, idx, pred);
+  const core::TwoStageRun run =
+      core::run_two_stage(trace, {}, ds1.train, ds1.test);
+  const core::RuntimeBreakdown rb =
+      core::runtime_breakdown(trace, run.idx, run.pred);
 
   TextTable t({"Application", "Precision", "Recall", "F1 Score"});
   t.add_row("All", {rb.all.precision, rb.all.recall, rb.all.f1});

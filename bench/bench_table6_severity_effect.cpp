@@ -11,11 +11,10 @@ int main() {
   const sim::Trace& trace = bench::paper_trace();
   const core::SplitSpec ds1 = bench::paper_splits()[0];
 
-  core::TwoStagePredictor predictor({});
-  predictor.train(trace, ds1.train);
-  const auto idx = core::samples_in(trace, ds1.test);
-  const auto pred = predictor.predict(trace, idx);
-  const core::SeverityBreakdown sb = core::severity_breakdown(trace, idx, pred);
+  const core::TwoStageRun run =
+      core::run_two_stage(trace, {}, ds1.train, ds1.test);
+  const core::SeverityBreakdown sb =
+      core::severity_breakdown(trace, run.idx, run.pred);
 
   static const char* kLevels[] = {"Light", "Moderate", "Severe", "Extreme"};
   TextTable t({"Severity", "correctly classified", "samples", "SBE-count range"});

@@ -204,33 +204,4 @@ inline void banner(const char* experiment, const char* title,
       static_cast<long long>(kPaperDays));
 }
 
-/// Trains and evaluates TwoStage for every (paper split, model) pair in
-/// one parallel fan-out (cells are independent; see core::two_stage_sweep).
-/// Result is split-major in the order of `models`.
-inline std::vector<core::SweepCell> run_two_stage_grid(
-    const sim::Trace& trace, std::span<const core::SplitSpec> splits,
-    std::span<const ml::ModelKind> models,
-    features::FeatureMask mask = features::kAllFeatures) {
-  core::TwoStageConfig base;
-  base.features.mask = mask;
-  return core::two_stage_sweep(trace, splits, models, base);
-}
-
-/// Trains TwoStage with the given model/features on a split and evaluates
-/// on its test window.
-inline ml::ClassMetrics run_two_stage(const sim::Trace& trace,
-                                      const core::SplitSpec& split,
-                                      ml::ModelKind model,
-                                      features::FeatureMask mask =
-                                          features::kAllFeatures,
-                                      double* train_seconds = nullptr) {
-  core::TwoStageConfig config;
-  config.model = model;
-  config.features.mask = mask;
-  core::TwoStagePredictor predictor(config);
-  predictor.train(trace, split.train);
-  if (train_seconds != nullptr) *train_seconds = predictor.train_seconds();
-  return predictor.evaluate(trace, split.test);
-}
-
 }  // namespace repro::bench

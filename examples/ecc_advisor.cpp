@@ -23,14 +23,12 @@ int main() {
 
   const Interval train{0, day_start(46)};
   const Interval test{train.end, day_start(60)};
-  core::TwoStagePredictor predictor({});
-  predictor.train(trace, train);
-
-  const auto idx = core::samples_in(trace, test);
-  const auto pred = predictor.predict(trace, idx);
+  const core::TwoStageRun run = core::run_two_stage(trace, {}, train, test);
+  const std::vector<std::size_t>& idx = run.idx;
 
   const core::EccPolicy policy{.ecc_overhead = 0.10, .reexecution_cost = 1.0};
-  const core::EccReport report = core::advise_ecc(trace, idx, pred, policy);
+  const core::EccReport report =
+      core::advise_ecc(trace, idx, run.pred, policy);
 
   std::size_t ecc_off = 0;
   for (const auto& d : report.decisions) ecc_off += d.ecc_on ? 0 : 1;

@@ -5,10 +5,7 @@
 
 #include "common/table.hpp"
 #include "core/retraining.hpp"
-#include "core/splits.hpp"
-#include "inject/inject.hpp"
 #include "obs/obs.hpp"
-#include "sim/ingest.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -42,7 +39,7 @@ int main() {
               {p.metrics.positive.f1, p.metrics.positive.precision,
                p.metrics.positive.recall,
                static_cast<double>(p.offender_nodes),
-               static_cast<double>(p.test_samples), p.train_seconds});
+               static_cast<double>(p.idx.size()), p.train_seconds});
   }
   std::printf("\n%s\n", t.render().c_str());
 
@@ -52,7 +49,7 @@ int main() {
   // it was asked to score?
   TextTable audit_table({"test days", "Brier", "AUC", "ECE", "PSI max",
                          "KS max", "drifted feats"});
-  const core::RetrainingPeriod* worst = nullptr;
+  const core::TwoStageRun* worst = nullptr;
   for (const auto& p : periods) {
     if (!p.quality.valid) continue;
     audit_table.add_row(std::to_string(day_of(p.test.begin)) + "-" +
@@ -119,41 +116,6 @@ int main() {
               obs_value("two_stage.featurize_seconds"),
               obs_value("two_stage.stage2_fit_seconds"),
               obs_value("two_stage.predict_seconds"));
-  // Robustness panel (DESIGN.md §9): what if the telemetry feed were
-  // dirty? Inject the record-level fault models at increasing rates into a
-  // copy of the trace, run the hardened ingest, and retrain/evaluate one
-  // split per point — the fleet view of tools/robustness_report.
-  std::printf("\nrobustness under trace corruption (inject -> ingest -> "
-              "retrain, one 42/14-day split):\n");
-  const auto robust_split =
-      core::SplitSpec::sliding(config.days, 42, 14, 1, 1).front();
-  TextTable robust_table({"injection rate", "F1", "precision", "recall",
-                          "injected", "quarantined", "repaired"});
-  for (const double rate : {0.0, 0.05, 0.1, 0.25}) {
-    sim::Trace dirty = trace;
-    const auto injected =
-        inject::corrupt_trace(dirty, inject::FaultConfig::uniform(rate));
-    const auto ingest = sim::ingest_trace(dirty);
-    core::TwoStageConfig ts;
-    core::TwoStagePredictor predictor(ts);
-    predictor.train(dirty, robust_split.train);
-    const auto m = predictor.evaluate(dirty, robust_split.test);
-    char rate_buf[16];
-    std::snprintf(rate_buf, sizeof(rate_buf), "%.2f", rate);
-    robust_table.add_row(rate_buf,
-                         {m.positive.f1, m.positive.precision,
-                          m.positive.recall,
-                          static_cast<double>(injected.total()),
-                          static_cast<double>(ingest.quarantined()),
-                          static_cast<double>(ingest.repaired())},
-                         3);
-  }
-  std::printf("%s\n", robust_table.render().c_str());
-  std::printf("The quarantine/repair ledger closes against the injected\n"
-              "counts (obs inject.* vs ingest.*); F1 degrades smoothly with\n"
-              "corruption instead of the pipeline crashing on NaN or a\n"
-              "poisoned SBE counter.\n");
-
   if (obs::write_trace_if_requested()) {
     std::printf("  trace written to %s (open in chrome://tracing or"
                 " ui.perfetto.dev)\n", obs::trace_request_path().c_str());

@@ -28,19 +28,19 @@ int main(int argc, char** argv) {
   std::printf("  %zu <aprun, node> samples, %.2f%% SBE-affected\n",
               trace.samples.size(), 100.0 * trace.positive_rate());
 
-  // 2. Train TwoStage (stage 1: offender-node filter; stage 2: GBDT).
+  // 2. Train TwoStage (stage 1: offender-node filter; stage 2: GBDT) and
+  //    score the held-out weeks.
   const Interval train{0, day_start(days * 3 / 4)};
   const Interval test{train.end, day_start(days)};
-  core::TwoStagePredictor predictor({});
-  predictor.train(trace, train);
+  const core::TwoStageRun run = core::run_two_stage(trace, {}, train, test);
   std::printf("trained GBDT on %zu offender-node samples in %.2f s\n",
-              predictor.stage2_training_size(), predictor.train_seconds());
+              run.stage2_size, run.train_seconds);
 
   // 3. Evaluate on the held-out weeks, next to the Basic A baseline.
-  const auto metrics = predictor.evaluate(trace, test);
+  const ml::ClassMetrics& metrics = run.metrics;
   core::BasicScheme basic_a(core::BasicKind::kBasicA);
   basic_a.train(trace, train);
-  const auto idx = core::samples_in(trace, test);
+  const std::vector<std::size_t>& idx = run.idx;
   const auto base =
       core::evaluate_predictions(trace, idx, basic_a.predict(trace, idx));
   std::printf("\n            precision  recall  F1\n");
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
               metrics.positive.f1);
 
   // 4. Score a few upcoming runs the way a scheduler hook would.
-  const auto proba = predictor.predict_proba(trace, idx);
+  const std::vector<float>& proba = run.proba;
   std::printf("\nfirst test-window samples (P(SBE) / truth):\n");
   for (std::size_t k = 0; k < idx.size() && k < 8; ++k) {
     const auto& s = trace.samples[idx[k]];

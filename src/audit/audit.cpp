@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
-#include "obs/obs.hpp"
 
 namespace repro::audit {
 
@@ -25,14 +24,6 @@ QualityReport assess(std::span<const std::uint8_t> truth,
   q.positive_rate = static_cast<double>(pos) / static_cast<double>(truth.size());
   q.valid = true;
   return q;
-}
-
-void publish(const QualityReport& q) {
-  if (!q.valid) return;
-  obs::gauge("audit.brier").set(q.brier);
-  obs::gauge("audit.auc").set(q.auc);
-  obs::gauge("audit.ece").set(q.ece);
-  obs::gauge("audit.positive_rate").set(q.positive_rate);
 }
 
 // --- sink -------------------------------------------------------------------

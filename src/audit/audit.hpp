@@ -3,13 +3,11 @@
 // did. Three parts:
 //
 //   * Quality assessment — Brier score, ROC-AUC, reliability bins and ECE
-//     over (truth, probability) pairs (ml/metrics primitives), published
-//     as obs gauges `audit.brier`, `audit.auc`, `audit.ece`,
-//     `audit.positive_rate` so they land in BENCH_<name>.json as
-//     `obs.audit.*` keys.
-//   * Drift detection — see audit/drift.hpp; TwoStagePredictor publishes
-//     `audit.psi_max` / `audit.ks_max` (+ argmax feature indices) and the
-//     stage-1 survivor-rate gauges.
+//     over (truth, probability) pairs (ml/metrics primitives).
+//   * Drift detection — see audit/drift.hpp.
+//   Both come back as values in core::TwoStageRun; core::publish turns a
+//   run into obs gauges (`audit.brier`, `audit.auc`, `audit.psi_max`, ...)
+//   so they land in BENCH_<name>.json as `obs.audit.*` keys.
 //   * Prediction audit log — an opt-in JSONL sink (REPRO_AUDIT=<path>)
 //     with one manifest line per trained model and one record per
 //     prediction: score, threshold, decision, truth, stage-1 outcome, and
@@ -55,10 +53,6 @@ struct QualityReport {
 QualityReport assess(std::span<const std::uint8_t> truth,
                      std::span<const float> proba,
                      std::size_t reliability_bin_count = 10);
-
-/// Publishes a report's scalars as `audit.*` obs gauges (no-op when obs
-/// metrics are disabled, like every gauge set).
-void publish(const QualityReport& q);
 
 // --- prediction audit log (JSONL) ------------------------------------------
 

@@ -1,6 +1,5 @@
 #include "common/csv.hpp"
 
-#include <istream>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -42,59 +41,6 @@ void CsvWriter::write_row(const std::vector<double>& values, int precision) {
   cells.reserve(values.size());
   for (const double v : values) cells.push_back(fmt(v, precision));
   write_row(cells);
-}
-
-CsvContent read_csv(std::istream& in) {
-  CsvContent content;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool row_has_data = false;
-  char c;
-
-  auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-  };
-  auto end_row = [&] {
-    end_field();
-    if (content.header.empty()) {
-      content.header = std::move(row);
-    } else {
-      content.rows.push_back(std::move(row));
-    }
-    row.clear();
-    row_has_data = false;
-  };
-
-  while (in.get(c)) {
-    if (in_quotes) {
-      if (c == '"') {
-        if (in.peek() == '"') {
-          field += '"';
-          in.get();
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      row_has_data = true;
-    } else if (c == '"') {
-      in_quotes = true;
-      row_has_data = true;
-    } else if (c == ',') {
-      end_field();
-      row_has_data = true;
-    } else if (c == '\n') {
-      if (row_has_data || !field.empty() || !row.empty()) end_row();
-    } else if (c != '\r') {
-      field += c;
-      row_has_data = true;
-    }
-  }
-  if (row_has_data || !field.empty() || !row.empty()) end_row();
-  return content;
 }
 
 }  // namespace repro

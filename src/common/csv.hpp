@@ -1,5 +1,5 @@
-// Minimal CSV reading/writing, used to export traces, feature matrices and
-// bench results for offline plotting. Quotes fields containing separators.
+// Minimal CSV writing, used to export traces, feature matrices and bench
+// results for offline plotting. Quotes fields containing separators.
 #pragma once
 
 #include <iosfwd>
@@ -23,14 +23,6 @@ class CsvWriter {
   std::size_t columns_;
   std::size_t rows_ = 0;
 };
-
-struct CsvContent {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-};
-
-/// Parses CSV with quoting support; first row is the header.
-CsvContent read_csv(std::istream& in);
 
 /// Escapes a single CSV field (quotes if it contains ',', '"' or newline).
 std::string csv_escape(const std::string& field);

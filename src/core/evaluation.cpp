@@ -26,13 +26,11 @@ std::vector<SweepCell> two_stage_sweep(const sim::Trace& trace,
       cell.model = models[c % models.size()];
       TwoStageConfig config = base;
       config.model = cell.model;
-      TwoStagePredictor predictor(config);
-      predictor.train(trace, splits[cell.split].train);
-      cell.metrics = predictor.evaluate(trace, splits[cell.split].test);
-      cell.train_seconds = predictor.train_seconds();
-      cell.stage2_size = predictor.stage2_training_size();
+      const SplitSpec& split = splits[cell.split];
+      cell.run = run_two_stage(trace, config, split.train, split.test);
     }
   });
+  if (!out.empty()) publish(out.back().run);
   return out;
 }
 

@@ -16,18 +16,18 @@ namespace repro::core {
 
 /// One cell of a split x model sweep (two_stage_sweep below).
 struct SweepCell {
-  std::size_t split = 0;       ///< index into the splits span
+  std::size_t split = 0;  ///< index into the splits span
   ml::ModelKind model{};
-  ml::ClassMetrics metrics{};
-  double train_seconds = 0.0;
-  std::size_t stage2_size = 0;
+  TwoStageRun run;
 };
 
-/// Trains and evaluates one TwoStagePredictor per (split, model) pair,
-/// fanning the independent cells across the thread pool; each predictor's
-/// own inner parallelism then runs inline on the worker. `base` supplies
+/// Runs run_two_stage once per (split, model) pair, fanning the
+/// independent cells across the thread pool; each run's own inner
+/// parallelism then runs inline on the worker. `base` supplies
 /// features/threshold/seed, with the model field overridden per cell.
-/// Results are split-major, in deterministic order.
+/// Results are split-major, in deterministic order. After the fan-out the
+/// last cell's run is published (see publish), so the audit gauges never
+/// depend on which cell finished last.
 std::vector<SweepCell> two_stage_sweep(const sim::Trace& trace,
                                        std::span<const SplitSpec> splits,
                                        std::span<const ml::ModelKind> models,

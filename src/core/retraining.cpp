@@ -4,43 +4,22 @@
 
 namespace repro::core {
 
-std::vector<RetrainingPeriod> run_retraining(const sim::Trace& trace,
-                                             const RetrainingConfig& config) {
+std::vector<TwoStageRun> run_retraining(const sim::Trace& trace,
+                                        const RetrainingConfig& config) {
   REPRO_CHECK(config.train_days > 0 && config.period_days > 0);
   REPRO_CHECK(config.warmup_days >= config.train_days);
-  std::vector<RetrainingPeriod> out;
+  std::vector<TwoStageRun> out;
   const std::int64_t total_days = trace.duration / kMinutesPerDay;
 
   for (std::int64_t at = config.warmup_days;
        at + config.period_days <= total_days; at += config.period_days) {
     OBS_SPAN("retraining.period");
     OBS_COUNT("retraining.periods");
-    RetrainingPeriod period;
-    period.train = {day_start(at - config.train_days), day_start(at)};
-    period.test = {day_start(at), day_start(at + config.period_days)};
-
-    TwoStagePredictor predictor(config.predictor);
-    predictor.train(trace, period.train);
-    period.train_seconds = predictor.train_seconds();
-    for (const char c : predictor.offender_mask()) {
-      period.offender_nodes += c ? 1 : 0;
-    }
-    const auto idx = samples_in(trace, period.test);
-    period.test_samples = idx.size();
-    std::vector<float> proba;
-    const auto pred = predictor.predict(trace, idx, &proba);
-    period.metrics = evaluate_predictions(trace, idx, pred);
-    // Per-period model-quality audit (gated on the obs switch like the
-    // rest of the audit layer): calibration of the period's probability
-    // forecast plus the drift summary predict_proba just computed. The
-    // last period's values remain on the audit.* gauges for artifacts.
-    if (obs::enabled() && !idx.empty()) {
-      const std::vector<ml::Label> truth = labels_of(trace, idx);
-      period.quality = audit::assess(truth, proba);
-      audit::publish(period.quality);
-      period.drift = predictor.last_drift();
-    }
-    out.push_back(std::move(period));
+    out.push_back(run_two_stage(
+        trace, config.predictor,
+        {day_start(at - config.train_days), day_start(at)},
+        {day_start(at), day_start(at + config.period_days)}));
+    publish(out.back());
   }
   return out;
 }

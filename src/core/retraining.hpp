@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "audit/audit.hpp"
 #include "core/two_stage.hpp"
 
 namespace repro::core {
@@ -20,22 +19,10 @@ struct RetrainingConfig {
   std::int64_t warmup_days = 45;   ///< first retrain happens after warmup
 };
 
-struct RetrainingPeriod {
-  Interval train;
-  Interval test;
-  ml::ClassMetrics metrics;
-  double train_seconds = 0.0;
-  std::size_t offender_nodes = 0;
-  std::size_t test_samples = 0;
-  /// Model-quality observability for the period (DESIGN.md §8), populated
-  /// only when obs metrics are enabled: probability calibration (Brier /
-  /// AUC / ECE / reliability bins) and train-vs-test feature drift.
-  audit::QualityReport quality;
-  audit::DriftSummary drift;
-};
-
-/// Runs the full loop over the trace; one entry per evaluation period.
-std::vector<RetrainingPeriod> run_retraining(const sim::Trace& trace,
-                                             const RetrainingConfig& config);
+/// Runs the full loop over the trace; one run_two_stage per evaluation
+/// period, in period order. Each period is published as it finishes, so
+/// the last period's audit values remain on the audit.* gauges.
+std::vector<TwoStageRun> run_retraining(const sim::Trace& trace,
+                                        const RetrainingConfig& config);
 
 }  // namespace repro::core

@@ -13,7 +13,6 @@ TwoStagePredictor::TwoStagePredictor(const TwoStageConfig& config)
 
 void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
   OBS_SPAN("two_stage.train");
-  train_window_ = train_window;
   extractor_ = std::make_unique<features::FeatureExtractor>(trace,
                                                             config_.features);
   std::vector<std::size_t> train_idx;
@@ -48,6 +47,8 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
     model_.reset();
     stage2_size_ = 0;
     train_seconds_ = 0.0;
+    train_survivor_rate_ = 0.0;
+    train_positive_rate_ = 0.0;
     return;
   }
   ml::Dataset train_set = [&] {
@@ -64,22 +65,17 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
   scaler_.fit(train_set.X);
   scaler_.transform_inplace(train_set.X);
 
+  train_survivor_rate_ = static_cast<double>(train_idx.size()) /
+                         static_cast<double>(window_samples);
+  train_positive_rate_ = static_cast<double>(train_set.positives()) /
+                         static_cast<double>(train_set.size());
+
   // Model-quality observability (DESIGN.md §8): remember the scaled
-  // training distribution so predict-time drift has a reference, and
-  // publish the stage-1 rebalancing gauges. Pure reads — skipping them
-  // (obs off) cannot change anything downstream.
-  last_drift_ = {};
+  // training distribution so predict-time drift has a reference. A pure
+  // read — skipping it (obs off) cannot change anything downstream.
   if (obs::enabled()) {
     OBS_SPAN("audit.drift_fit");
     drift_.fit(train_set.X);
-    if (window_samples > 0) {
-      obs::gauge("audit.train_survivor_rate")
-          .set(static_cast<double>(train_idx.size()) /
-               static_cast<double>(window_samples));
-    }
-    obs::gauge("audit.train_positive_rate")
-        .set(static_cast<double>(train_set.positives()) /
-             static_cast<double>(train_set.size()));
   }
 
   model_ = ml::make_model(config_.model, config_.seed);
@@ -112,7 +108,8 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
 }
 
 std::vector<float> TwoStagePredictor::predict_proba(
-    const sim::Trace& trace, std::span<const std::size_t> idx) const {
+    const sim::Trace& trace, std::span<const std::size_t> idx,
+    audit::DriftSummary* drift) const {
   REPRO_CHECK_MSG(trained(), "predict before train");
   OBS_SPAN("two_stage.predict");
   std::vector<float> out(idx.size(), 0.0f);
@@ -133,11 +130,6 @@ std::vector<float> TwoStagePredictor::predict_proba(
   }
   OBS_COUNT_ADD("two_stage.predict_samples_seen", idx.size());
   OBS_COUNT_ADD("two_stage.predict_stage1_survivors", accepted.size());
-  if (obs::enabled() && !idx.empty()) {
-    obs::gauge("audit.survivor_rate")
-        .set(static_cast<double>(accepted.size()) /
-             static_cast<double>(idx.size()));
-  }
   if (accepted.empty()) return out;
   // Stage 2 is batched: extract + scale every accepted sample's feature
   // row (disjoint writes), then one predict_proba_many call so models with
@@ -152,23 +144,14 @@ std::vector<float> TwoStagePredictor::predict_proba(
   });
   // Train-vs-serve drift over the features the model actually scored
   // (stage-2 survivors); a degraded period points at the features that
-  // moved. Reads the fitted reference + the local matrix, writes gauges
-  // and the per-predictor summary only.
-  if (obs::enabled() && drift_.fitted()) {
+  // moved. Reads the fitted reference + the local matrix only.
+  if (drift != nullptr && drift_.fitted()) {
     OBS_SPAN("audit.drift_compare");
-    last_drift_ = drift_.compare(features);
-    if (last_drift_.valid) {
+    *drift = drift_.compare(features);
+    if (drift->valid) {
       const auto& names = extractor_->names();
-      last_drift_.psi_argmax_name = names[last_drift_.psi_argmax];
-      last_drift_.ks_argmax_name = names[last_drift_.ks_argmax];
-      obs::gauge("audit.psi_max").set(last_drift_.psi_max);
-      obs::gauge("audit.psi_argmax_feature")
-          .set(static_cast<double>(last_drift_.psi_argmax));
-      obs::gauge("audit.ks_max").set(last_drift_.ks_max);
-      obs::gauge("audit.ks_argmax_feature")
-          .set(static_cast<double>(last_drift_.ks_argmax));
-      obs::gauge("audit.psi_drifted_features")
-          .set(static_cast<double>(last_drift_.psi_drifted));
+      drift->psi_argmax_name = names[drift->psi_argmax];
+      drift->ks_argmax_name = names[drift->ks_argmax];
     }
   }
   const std::vector<float> proba = model_->predict_proba_many(features);
@@ -180,8 +163,8 @@ std::vector<float> TwoStagePredictor::predict_proba(
 
 std::vector<ml::Label> TwoStagePredictor::predict(
     const sim::Trace& trace, std::span<const std::size_t> idx,
-    std::vector<float>* proba_out) const {
-  std::vector<float> proba = predict_proba(trace, idx);
+    std::vector<float>* proba_out, audit::DriftSummary* drift_out) const {
+  std::vector<float> proba = predict_proba(trace, idx, drift_out);
   std::vector<ml::Label> out(proba.size());
   for (std::size_t i = 0; i < proba.size(); ++i) {
     out[i] = proba[i] >= config_.threshold ? 1 : 0;
@@ -230,19 +213,71 @@ std::vector<ml::Label> TwoStagePredictor::predict(
   return out;
 }
 
-ml::ClassMetrics TwoStagePredictor::evaluate(const sim::Trace& trace,
-                                             Interval test_window) const {
+TwoStageRun run_two_stage(const sim::Trace& trace,
+                          const TwoStageConfig& config, Interval train,
+                          Interval test) {
+  TwoStageRun run;
+  run.train = train;
+  run.test = test;
+  TwoStagePredictor predictor(config);
+  predictor.train(trace, train);
+  run.train_seconds = predictor.train_seconds();
+  run.stage2_size = predictor.stage2_training_size();
+  run.degraded = predictor.degraded();
+  run.train_survivor_rate = predictor.train_survivor_rate();
+  run.train_positive_rate = predictor.train_positive_rate();
+  const std::vector<char>& offenders = predictor.offender_mask();
+  for (const char c : offenders) run.offender_nodes += c ? 1 : 0;
+
   OBS_SPAN("two_stage.evaluate");
-  const std::vector<std::size_t> idx = samples_in(trace, test_window);
-  std::vector<float> proba;
-  const std::vector<ml::Label> pred = predict(trace, idx, &proba);
-  // Calibration/quality gauges ride the obs switch like everything else in
-  // the audit layer; assess() is a pure read of (truth, proba).
-  if (obs::enabled() && !idx.empty()) {
-    const std::vector<ml::Label> truth = labels_of(trace, idx);
-    audit::publish(audit::assess(truth, proba));
+  run.idx = samples_in(trace, test);
+  run.pred = predictor.predict(trace, run.idx, &run.proba,
+                               obs::enabled() ? &run.drift : nullptr);
+  const std::vector<ml::Label> truth = labels_of(trace, run.idx);
+  run.metrics = ml::evaluate(truth, run.pred);
+  if (!run.idx.empty()) {
+    std::size_t survivors = 0;
+    for (const std::size_t i : run.idx) {
+      survivors += offenders[static_cast<std::size_t>(trace.samples[i].node)]
+                       ? 1
+                       : 0;
+    }
+    run.survivor_rate = static_cast<double>(survivors) /
+                        static_cast<double>(run.idx.size());
+    // Calibration rides the obs switch like the rest of the audit layer;
+    // assess() is a pure read of (truth, proba).
+    if (obs::enabled()) run.quality = audit::assess(truth, run.proba);
   }
-  return evaluate_predictions(trace, idx, pred);
+  return run;
+}
+
+void publish(const TwoStageRun& run) {
+  if (!obs::enabled()) return;
+  if (!run.degraded) {
+    obs::gauge("audit.train_survivor_rate").set(run.train_survivor_rate);
+    obs::gauge("audit.train_positive_rate").set(run.train_positive_rate);
+    if (!run.idx.empty()) {
+      obs::gauge("audit.survivor_rate").set(run.survivor_rate);
+    }
+  }
+  const audit::DriftSummary& d = run.drift;
+  if (d.valid) {
+    obs::gauge("audit.psi_max").set(d.psi_max);
+    obs::gauge("audit.psi_argmax_feature")
+        .set(static_cast<double>(d.psi_argmax));
+    obs::gauge("audit.ks_max").set(d.ks_max);
+    obs::gauge("audit.ks_argmax_feature")
+        .set(static_cast<double>(d.ks_argmax));
+    obs::gauge("audit.psi_drifted_features")
+        .set(static_cast<double>(d.psi_drifted));
+  }
+  const audit::QualityReport& q = run.quality;
+  if (q.valid) {
+    obs::gauge("audit.brier").set(q.brier);
+    obs::gauge("audit.auc").set(q.auc);
+    obs::gauge("audit.ece").set(q.ece);
+    obs::gauge("audit.positive_rate").set(q.positive_rate);
+  }
 }
 
 }  // namespace repro::core

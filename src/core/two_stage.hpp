@@ -10,7 +10,7 @@
 //            decides the remaining cases.
 //
 // The deliberate cost: SBEs on previously error-free nodes are always
-// missed; periodic retraining (see RetrainingDriver) keeps that loss small.
+// missed; periodic retraining (see run_retraining) keeps that loss small.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "audit/drift.hpp"
 #include "core/sample_index.hpp"
 #include "core/splits.hpp"
@@ -47,23 +48,23 @@ class TwoStagePredictor {
   /// ended inside train_window).
   void train(const sim::Trace& trace, Interval train_window);
 
-  /// P(SBE) per sample; stage-1 rejects get probability 0. When obs
-  /// metrics are on, also publishes the audit drift/survivor-rate gauges
-  /// and refreshes last_drift().
+  /// P(SBE) per sample; stage-1 rejects get probability 0. Pure: when
+  /// `drift` is non-null and train() fitted a drift reference (obs metrics
+  /// were on), it also receives the train-vs-serve feature drift of the
+  /// stage-2 survivors (DESIGN.md §8).
   [[nodiscard]] std::vector<float> predict_proba(
-      const sim::Trace& trace, std::span<const std::size_t> idx) const;
+      const sim::Trace& trace, std::span<const std::size_t> idx,
+      audit::DriftSummary* drift = nullptr) const;
   /// Thresholded predictions. With an active audit sink (REPRO_AUDIT),
   /// additionally writes one JSONL record per sample — score, decision,
   /// truth, top-k feature contributions — flushed in index order.
   /// `proba_out`, when non-null, receives the underlying probabilities so
-  /// callers needing both never score twice.
+  /// callers needing both never score twice; `drift_out` is as in
+  /// predict_proba.
   [[nodiscard]] std::vector<ml::Label> predict(
       const sim::Trace& trace, std::span<const std::size_t> idx,
-      std::vector<float>* proba_out = nullptr) const;
-
-  /// Convenience: predictions + metrics over a test window.
-  [[nodiscard]] ml::ClassMetrics evaluate(const sim::Trace& trace,
-                                          Interval test_window) const;
+      std::vector<float>* proba_out = nullptr,
+      audit::DriftSummary* drift_out = nullptr) const;
 
   [[nodiscard]] bool trained() const noexcept {
     return model_ != nullptr || degraded_;
@@ -83,18 +84,20 @@ class TwoStagePredictor {
   [[nodiscard]] std::size_t stage2_training_size() const noexcept {
     return stage2_size_;
   }
+  /// Share of the training window's samples that survived stage 1, and
+  /// the positive rate of the stage-2 training set (0 when degraded).
+  [[nodiscard]] double train_survivor_rate() const noexcept {
+    return train_survivor_rate_;
+  }
+  [[nodiscard]] double train_positive_rate() const noexcept {
+    return train_positive_rate_;
+  }
   [[nodiscard]] const TwoStageConfig& config() const noexcept {
     return config_;
   }
   [[nodiscard]] const ml::Model& model() const {
     REPRO_CHECK_MSG(model_ != nullptr, "model not trained");
     return *model_;
-  }
-  /// Feature drift of the most recent predict_proba call against this
-  /// model's training distribution (valid only when obs metrics were on
-  /// for both train and predict; see DESIGN.md §8).
-  [[nodiscard]] const audit::DriftSummary& last_drift() const noexcept {
-    return last_drift_;
   }
 
  private:
@@ -105,12 +108,46 @@ class TwoStagePredictor {
   std::vector<char> offender_mask_;
   double train_seconds_ = 0.0;
   std::size_t stage2_size_ = 0;
+  double train_survivor_rate_ = 0.0;
+  double train_positive_rate_ = 0.0;
   bool degraded_ = false;
-  Interval train_window_{};
   audit::DriftDetector drift_;
-  /// Per-call cache, not shared state: each predictor instance is driven
-  /// by one thread at a time (sweep cells own their predictor).
-  mutable audit::DriftSummary last_drift_;
 };
+
+/// Everything one train -> score -> evaluate run of TwoStage produces
+/// (Sec. VI-C2, VII-A): the test window's samples, scored once, with their
+/// metrics, plus the training cost and the stage-1 shape of the run.
+struct TwoStageRun {
+  Interval train;
+  Interval test;
+  std::vector<std::size_t> idx;  ///< samples_in(trace, test)
+  std::vector<float> proba;      ///< P(SBE) per idx entry
+  std::vector<ml::Label> pred;   ///< proba thresholded at config.threshold
+  ml::ClassMetrics metrics;
+  double train_seconds = 0.0;    ///< stage-2 fit wall-clock (Table III)
+  std::size_t stage2_size = 0;
+  std::size_t offender_nodes = 0;
+  bool degraded = false;         ///< see TwoStagePredictor::degraded
+  double train_survivor_rate = 0.0;
+  double train_positive_rate = 0.0;
+  double survivor_rate = 0.0;    ///< share of idx on offender nodes
+  /// Model-quality audit (DESIGN.md §8), filled only when obs metrics are
+  /// on: calibration of proba against truth (non-empty test window) and
+  /// train-vs-test feature drift (stage 2 trained).
+  audit::QualityReport quality;
+  audit::DriftSummary drift;
+};
+
+/// The TwoStage pipeline: trains a predictor on `train`, scores the
+/// samples whose runs end in `test` once, and evaluates them. Safe to run
+/// concurrently (it writes no gauges; see publish).
+TwoStageRun run_two_stage(const sim::Trace& trace,
+                          const TwoStageConfig& config, Interval train,
+                          Interval test);
+
+/// Publishes a run's `audit.*` gauges (survivor/positive rates, drift,
+/// calibration). Gauges are process-global last-writer-wins, so call this
+/// from serial code only; a no-op when obs metrics are off.
+void publish(const TwoStageRun& run);
 
 }  // namespace repro::core

@@ -109,13 +109,6 @@ double SbeModel::minute_rate(topo::NodeId node, workload::AppId app,
   return cap * raw / (cap + raw);
 }
 
-std::uint32_t SbeModel::sample_minute(topo::NodeId node, workload::AppId app,
-                                      const telemetry::Reading& r, Minute now,
-                                      bool recent_sbe,
-                                      Rng& rng) const noexcept {
-  return draw(minute_rate(node, app, r, now, recent_sbe), rng);
-}
-
 std::uint32_t SbeModel::draw(double lambda, Rng& rng) noexcept {
   if (lambda <= 0.0) return 0;
   // Fast path: most minutes have rate << 1; one uniform decides "no event".

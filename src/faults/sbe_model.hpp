@@ -114,13 +114,6 @@ class SbeModel {
                                    const telemetry::Reading& r, Minute now,
                                    bool recent_sbe) const noexcept;
 
-  /// Draws the minute's SBE count.
-  [[nodiscard]] std::uint32_t sample_minute(topo::NodeId node,
-                                            workload::AppId app,
-                                            const telemetry::Reading& r,
-                                            Minute now, bool recent_sbe,
-                                            Rng& rng) const noexcept;
-
   /// Draws a Poisson count for a precomputed rate (fast path for rates
   /// well below 1, exact Poisson otherwise).
   static std::uint32_t draw(double lambda, Rng& rng) noexcept;

@@ -56,93 +56,4 @@ Dataset undersample_majority(const Dataset& d, double ratio, Rng& rng) {
   return d.select(idx);
 }
 
-Dataset oversample_minority(const Dataset& d, double target_ratio,
-                            std::size_t k, Rng& rng) {
-  REPRO_CHECK(target_ratio > 0.0 && k > 0);
-  std::vector<std::size_t> pos;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (d.y[i]) pos.push_back(i);
-  }
-  if (pos.empty()) return d;
-  const auto want_pos = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(d.negatives()) / target_ratio));
-  if (want_pos <= pos.size()) return d;
-  const std::size_t synth = want_pos - pos.size();
-
-  Dataset out = d;
-  out.X.reserve_rows(d.size() + synth);
-  std::vector<float> row(d.features());
-  for (std::size_t s = 0; s < synth; ++s) {
-    const std::size_t a =
-        pos[static_cast<std::size_t>(rng.uniform_index(pos.size()))];
-    // k-nearest among a random subsample of the minority (full kNN is
-    // quadratic; a sampled neighborhood preserves SMOTE's local geometry).
-    const std::size_t probe = std::min<std::size_t>(pos.size(), 64);
-    std::size_t best = a;
-    double best_d = std::numeric_limits<double>::max();
-    std::vector<std::pair<double, std::size_t>> cand;
-    cand.reserve(probe);
-    for (std::size_t t = 0; t < probe; ++t) {
-      const std::size_t b =
-          pos[static_cast<std::size_t>(rng.uniform_index(pos.size()))];
-      if (b == a) continue;
-      double dist = 0.0;
-      const auto ra = d.X.row(a);
-      const auto rb = d.X.row(b);
-      for (std::size_t c = 0; c < ra.size(); ++c) {
-        const double diff = ra[c] - rb[c];
-        dist += diff * diff;
-      }
-      cand.emplace_back(dist, b);
-      if (dist < best_d) {
-        best_d = dist;
-        best = b;
-      }
-    }
-    if (cand.size() > k) {
-      std::nth_element(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(k),
-                       cand.end());
-      cand.resize(k);
-    }
-    const std::size_t b =
-        cand.empty()
-            ? best
-            : cand[static_cast<std::size_t>(rng.uniform_index(cand.size()))].second;
-    const double t = rng.uniform();
-    const auto ra = d.X.row(a);
-    const auto rb = d.X.row(b);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      row[c] = static_cast<float>(ra[c] + t * (rb[c] - ra[c]));
-    }
-    out.X.push_row(row);
-    out.y.push_back(1);
-  }
-  return out;
-}
-
-std::pair<Dataset, Dataset> stratified_split(const Dataset& d,
-                                             double test_fraction, Rng& rng) {
-  REPRO_CHECK(test_fraction > 0.0 && test_fraction < 1.0);
-  std::vector<std::size_t> pos, neg;
-  for (std::size_t i = 0; i < d.size(); ++i) (d.y[i] ? pos : neg).push_back(i);
-  rng.shuffle(pos);
-  rng.shuffle(neg);
-  auto split = [&](std::vector<std::size_t>& v) {
-    const auto n_test = static_cast<std::size_t>(
-        std::llround(test_fraction * static_cast<double>(v.size())));
-    std::vector<std::size_t> test(v.end() - static_cast<std::ptrdiff_t>(n_test),
-                                  v.end());
-    v.resize(v.size() - n_test);
-    return test;
-  };
-  std::vector<std::size_t> test_idx = split(pos);
-  auto test_neg = split(neg);
-  test_idx.insert(test_idx.end(), test_neg.begin(), test_neg.end());
-  std::vector<std::size_t> train_idx = pos;
-  train_idx.insert(train_idx.end(), neg.begin(), neg.end());
-  rng.shuffle(train_idx);
-  rng.shuffle(test_idx);
-  return {d.select(train_idx), d.select(test_idx)};
-}
-
 }  // namespace repro::ml

@@ -1,13 +1,11 @@
-// Labeled dataset plus the imbalance-mitigation samplers discussed in
-// Sec. VI-B: random under-sampling of the majority class and synthetic
-// minority over-sampling (SMOTE). The paper's TwoStage method makes both
-// largely unnecessary (stage 1 rebalances to ~2:1), but they are provided
-// for the ablation benches and as general tooling.
+// Labeled dataset plus random under-sampling of the majority class, the
+// imbalance mitigation discussed in Sec. VI-B. The paper's TwoStage method
+// makes it largely unnecessary (stage 1 rebalances to ~2:1); the ablation
+// benches use it to show that.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -41,15 +39,5 @@ struct Dataset {
 /// Randomly keeps all positives and `ratio` negatives per positive.
 /// A ratio >= current imbalance returns a shuffled copy.
 Dataset undersample_majority(const Dataset& d, double ratio, Rng& rng);
-
-/// SMOTE-style over-sampling: synthesizes minority rows by interpolating
-/// between a minority row and one of its k nearest minority neighbors until
-/// reaching `target_ratio` negatives per positive (target_ratio <= current).
-Dataset oversample_minority(const Dataset& d, double target_ratio,
-                            std::size_t k, Rng& rng);
-
-/// Stratified split preserving class proportions; returns {train, test}.
-std::pair<Dataset, Dataset> stratified_split(const Dataset& d,
-                                             double test_fraction, Rng& rng);
 
 }  // namespace repro::ml

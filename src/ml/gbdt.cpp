@@ -72,20 +72,6 @@ float FeatureBinner::upper_edge(std::size_t feature, std::uint8_t c) const {
   return edges[c];
 }
 
-std::vector<std::uint8_t> FeatureBinner::transform(const Matrix& X) const {
-  REPRO_CHECK_MSG(X.cols() == edges_.size(), "binner width mismatch");
-  std::vector<std::uint8_t> codes(X.rows() * X.cols());
-  parallel_for(X.rows(), 512, [&](std::size_t r_begin, std::size_t r_end) {
-    for (std::size_t r = r_begin; r < r_end; ++r) {
-      const auto row = X.row(r);
-      for (std::size_t f = 0; f < X.cols(); ++f) {
-        codes[r * X.cols() + f] = code(f, row[f]);
-      }
-    }
-  });
-  return codes;
-}
-
 BinnedColumns FeatureBinner::transform_columns(const Matrix& X) const {
   REPRO_CHECK_MSG(X.cols() == edges_.size(), "binner width mismatch");
   BinnedColumns binned;

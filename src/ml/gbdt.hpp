@@ -79,9 +79,6 @@ class FeatureBinner {
   /// Upper edge of a bin (values with code <= c satisfy value <= edge(c)).
   [[nodiscard]] float upper_edge(std::size_t feature, std::uint8_t c) const;
 
-  /// Binned copy of a matrix (row-major codes).
-  [[nodiscard]] std::vector<std::uint8_t> transform(const Matrix& X) const;
-
   /// Column-major binned copy with per-feature packed histogram offsets.
   [[nodiscard]] BinnedColumns transform_columns(const Matrix& X) const;
 

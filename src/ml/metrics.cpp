@@ -55,38 +55,6 @@ ClassMetrics evaluate_proba(std::span<const std::uint8_t> truth,
   return evaluate(truth, pred);
 }
 
-float best_f1_threshold(std::span<const std::uint8_t> truth,
-                        std::span<const float> proba) {
-  REPRO_CHECK(truth.size() == proba.size());
-  // Sweep thresholds at the observed scores: sort by descending score and
-  // accumulate tp/fp; F1 is maximized at one of the score cut points.
-  std::vector<std::size_t> order(proba.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return proba[a] > proba[b];
-  });
-  std::uint64_t total_pos = 0;
-  for (const auto t : truth) total_pos += t;
-  std::uint64_t tp = 0, fp = 0;
-  double best_f1 = -1.0;
-  float best_thr = 0.5f;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    (truth[order[i]] ? tp : fp) += 1;
-    // Only evaluate where the score strictly drops (a valid cut point).
-    if (i + 1 < order.size() && proba[order[i + 1]] == proba[order[i]]) {
-      continue;
-    }
-    const PrMetrics m = pr_metrics(tp, fp, total_pos - tp);
-    if (m.f1 > best_f1) {
-      best_f1 = m.f1;
-      // Midpoint between this score and the next keeps the cut stable.
-      const float lo = i + 1 < order.size() ? proba[order[i + 1]] : 0.0f;
-      best_thr = (proba[order[i]] + lo) / 2.0f;
-    }
-  }
-  return best_thr;
-}
-
 double brier_score(std::span<const std::uint8_t> truth,
                    std::span<const float> proba) {
   REPRO_CHECK(truth.size() == proba.size());

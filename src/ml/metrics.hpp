@@ -47,10 +47,6 @@ ClassMetrics evaluate_proba(std::span<const std::uint8_t> truth,
                             std::span<const float> proba,
                             float threshold = 0.5f);
 
-/// Threshold in (0,1) maximizing positive-class F1 on the given data.
-float best_f1_threshold(std::span<const std::uint8_t> truth,
-                        std::span<const float> proba);
-
 // --- score-quality statistics (src/audit model observability) -------------
 //
 // Pure, deterministic functions over (truth, score) or distribution pairs;

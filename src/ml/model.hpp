@@ -47,10 +47,7 @@ class Model {
     return false;
   }
 
-  /// Batch helpers built on predict_proba_many.
-  [[nodiscard]] std::vector<float> predict_proba_batch(const Matrix& X) const {
-    return predict_proba_many(X);
-  }
+  /// Thresholded predict_proba_many.
   [[nodiscard]] std::vector<Label> predict_batch(const Matrix& X,
                                                  float threshold = 0.5f) const;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <numeric>
 #include <utility>
 
@@ -28,17 +27,6 @@ inline double rbf(std::span<const float> a, std::span<const float> b,
 }
 }  // namespace
 
-void Svm::lift(std::span<const float> x, std::span<float> out) const {
-  const std::size_t D = params_.rff_dims;
-  const float scale = std::sqrt(2.0f / static_cast<float>(D));
-  for (std::size_t j = 0; j < D; ++j) {
-    const float* w = proj_.data() + j * input_dims_;
-    float dot = offset_[j];
-    for (std::size_t c = 0; c < input_dims_; ++c) dot += w[c] * x[c];
-    out[j] = scale * std::cos(dot);
-  }
-}
-
 void Svm::fit(const Dataset& train) {
   OBS_SPAN("svm.fit");
   train.validate();
@@ -46,14 +34,7 @@ void Svm::fit(const Dataset& train) {
   input_dims_ = train.features();
   gamma_ = params_.gamma > 0.0 ? params_.gamma
                                : 1.0 / static_cast<double>(input_dims_);
-  if (params_.mode == Mode::kSmoRbf) {
-    fit_smo(train);
-  } else {
-    fit_rff(train);
-  }
-}
 
-void Svm::fit_smo(const Dataset& train) {
   // Stratified subsample to the dual-problem cap.
   std::vector<std::size_t> rows(train.size());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
@@ -190,67 +171,6 @@ void Svm::fit_smo(const Dataset& train) {
   fit_platt(margins, labels);
 }
 
-void Svm::fit_rff(const Dataset& train) {
-  const std::size_t n = train.size();
-  const std::size_t D = params_.rff_dims;
-  const double w_std = std::sqrt(2.0 * gamma_);
-  proj_.resize(D * input_dims_);
-  offset_.resize(D);
-  for (auto& p : proj_) p = static_cast<float>(rng_.normal(0.0, w_std));
-  for (auto& o : offset_) {
-    o = static_cast<float>(rng_.uniform(0.0, 2.0 * std::numbers::pi));
-  }
-
-  // Pre-lift the training set; dominates memory but makes epochs
-  // cache-friendly. Rows are independent.
-  Matrix lifted(n, D);
-  parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      lift(train.X.row(r), lifted.row(r));
-    }
-  });
-
-  weights_.assign(D, 0.0f);
-  bias_ = 0.0f;
-  const double lambda = 1.0 / (params_.c * static_cast<double>(n));
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-
-  std::size_t t = 0;
-  for (std::size_t epoch = 0; epoch < params_.epochs; ++epoch) {
-    rng_.shuffle(order);
-    for (const std::size_t r : order) {
-      ++t;
-      const double eta = 1.0 / (lambda * static_cast<double>(t));
-      const auto phi = lifted.row(r);
-      const float y = train.y[r] ? 1.0f : -1.0f;
-      float m = bias_;
-      for (std::size_t j = 0; j < D; ++j) m += weights_[j] * phi[j];
-      // Pegasos step: shrink + (sub)gradient of the hinge loss.
-      const float shrink = static_cast<float>(1.0 - eta * lambda);
-      for (std::size_t j = 0; j < D; ++j) weights_[j] *= shrink;
-      if (y * m < 1.0f) {
-        const float w_sample =
-            train.y[r] ? static_cast<float>(params_.pos_weight) : 1.0f;
-        const float step = static_cast<float>(eta) * y * w_sample;
-        for (std::size_t j = 0; j < D; ++j) weights_[j] += step * phi[j];
-        bias_ += step * 0.1f;  // lightly-regularized intercept
-      }
-    }
-  }
-
-  std::vector<float> margins(n);
-  parallel_for(n, 256, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const auto phi = lifted.row(r);
-      float m = bias_;
-      for (std::size_t j = 0; j < D; ++j) m += weights_[j] * phi[j];
-      margins[r] = m;
-    }
-  });
-  fit_platt(margins, train.y);
-}
-
 void Svm::fit_platt(std::span<const float> margins,
                     std::span<const Label> labels) {
   double a = 1.0, b = 0.0;
@@ -284,18 +204,11 @@ void Svm::fit_platt(std::span<const float> margins,
 
 float Svm::margin(std::span<const float> x) const {
   REPRO_CHECK_MSG(x.size() == input_dims_, "feature width mismatch");
-  if (params_.mode == Mode::kSmoRbf) {
-    double m = smo_bias_;
-    for (std::size_t s = 0; s < support_.rows(); ++s) {
-      m += dual_coef_[s] * rbf(support_.row(s), x, gamma_);
-    }
-    return static_cast<float>(m);
+  double m = smo_bias_;
+  for (std::size_t s = 0; s < support_.rows(); ++s) {
+    m += dual_coef_[s] * rbf(support_.row(s), x, gamma_);
   }
-  std::vector<float> phi(params_.rff_dims);
-  lift(x, phi);
-  float m = bias_;
-  for (std::size_t j = 0; j < phi.size(); ++j) m += weights_[j] * phi[j];
-  return m;
+  return static_cast<float>(m);
 }
 
 float Svm::predict_proba(std::span<const float> x) const {

@@ -1,18 +1,12 @@
 // Support Vector Machine with an RBF kernel — the paper's slowest but
 // kernel-powered model (Table III: ~1 h on their Xeon vs 40 s for GBDT).
 //
-// Two trainers are provided:
-//
-//  - kSmoRbf (default): an exact kernel SVM solved in the dual with
-//    simplified SMO (Platt) and an incrementally-maintained decision-value
-//    cache. Faithful to what off-the-shelf libraries (libsvm/sklearn) do
-//    and, like them, quadratic-ish in training size — this is the honest
-//    source of SVM's place at the bottom of the training-time table. The
-//    training set is (stratified-)subsampled to max_smo_samples.
-//
-//  - kRffLinear: Random Fourier Features (Rahimi & Recht) + Pegasos SGD
-//    on the hinge loss. A linear-time approximation for callers that want
-//    kernel-SVM-like decisions at scale.
+// An exact kernel SVM solved in the dual with simplified SMO (Platt) and an
+// incrementally-maintained decision-value cache. Faithful to what
+// off-the-shelf libraries (libsvm/sklearn) do and, like them,
+// quadratic-ish in training size — this is the honest source of SVM's place
+// at the bottom of the training-time table. The training set is
+// (stratified-)subsampled to max_smo_samples.
 //
 // Probabilities come from Platt scaling (a 1-D logistic fit on margins).
 #pragma once
@@ -27,24 +21,15 @@ namespace repro::ml {
 
 class Svm final : public Model {
  public:
-  enum class Mode : std::uint8_t { kSmoRbf, kRffLinear };
-
   struct Params {
-    Mode mode = Mode::kSmoRbf;
     double gamma = 0.0;          ///< RBF width; 0 = 1/num_features heuristic
     double c = 1.0;              ///< SVM regularization tradeoff
     double pos_weight = 1.0;
 
-    // kSmoRbf knobs.
     std::size_t max_smo_samples = 5000;  ///< dual problem size cap
     double smo_tol = 1e-3;               ///< KKT violation tolerance
     std::size_t smo_max_passes = 3;      ///< sweeps without progress to stop
     std::size_t smo_max_iters = 150'000; ///< hard iteration cap
-
-    // kRffLinear knobs.
-    std::size_t rff_dims = 512;
-    std::size_t epochs = 24;
-
     std::uint64_t platt_iters = 200;
   };
 
@@ -60,33 +45,24 @@ class Svm final : public Model {
   /// Raw decision value (valid after fit); > 0 predicts the SBE class.
   [[nodiscard]] float margin(std::span<const float> x) const;
 
-  /// Number of support vectors (kSmoRbf only; 0 in kRffLinear mode).
+  /// Number of support vectors.
   [[nodiscard]] std::size_t support_vector_count() const noexcept {
     return support_.rows();
   }
 
  private:
-  void fit_smo(const Dataset& train);
-  void fit_rff(const Dataset& train);
   void fit_platt(std::span<const float> margins,
                  std::span<const Label> labels);
-  void lift(std::span<const float> x, std::span<float> out) const;
 
   Params params_;
   Rng rng_;
   std::size_t input_dims_ = 0;
   double gamma_ = 0.0;
 
-  // kSmoRbf state: support vectors + dual coefficients (alpha_i * y_i).
+  // Support vectors + dual coefficients (alpha_i * y_i).
   Matrix support_;
   std::vector<float> dual_coef_;
   float smo_bias_ = 0.0f;
-
-  // kRffLinear state: projection + linear weights.
-  std::vector<float> proj_;    ///< rff_dims x input_dims, row-major
-  std::vector<float> offset_;  ///< rff_dims
-  std::vector<float> weights_; ///< rff_dims
-  float bias_ = 0.0f;
 
   // Platt scaling: P(y=1|m) = sigmoid(a*m + b).
   float platt_a_ = 1.0f;

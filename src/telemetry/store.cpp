@@ -1,9 +1,5 @@
 #include "telemetry/store.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-
 namespace repro::telemetry {
 
 TelemetryStore::TelemetryStore(std::int32_t total_nodes,
@@ -17,7 +13,6 @@ TelemetryStore::TelemetryStore(std::int32_t total_nodes,
     nodes_.emplace_back(history_minutes);
   }
   cumulative_.resize(static_cast<std::size_t>(total_nodes));
-  quality_.resize(static_cast<std::size_t>(total_nodes));
 }
 
 void TelemetryStore::record(topo::NodeId node, const Reading& r) {
@@ -28,67 +23,6 @@ void TelemetryStore::record(topo::NodeId node, const Reading& r) {
     pn.series[c].push(v);
     cum[c].add(v);
   }
-}
-
-ReadingQuality TelemetryStore::record_checked(topo::NodeId node,
-                                              const Reading& r) {
-  auto& pn = nodes_.at(static_cast<std::size_t>(node));
-  auto& q = quality_[static_cast<std::size_t>(node)];
-  const float raw[kChannels] = {r.gpu_temp, r.gpu_power, r.cpu_temp};
-  float fixed[kChannels];
-  bool repaired = false;
-  std::size_t dead = 0;  // non-finite fields with no history to hold
-  for (std::size_t c = 0; c < kChannels; ++c) {
-    const ChannelBounds& b = kChannelBounds[c];
-    float v = raw[c];
-    if (!std::isfinite(v)) {
-      if (pn.series[c].size() > 0) {
-        v = pn.series[c].back();  // hold the last good value
-      } else {
-        v = b.lo;
-        ++dead;
-      }
-      ++ingest_stats_.repaired_nonfinite;
-      repaired = true;
-    } else if (v < b.lo || v > b.hi) {
-      v = std::clamp(v, b.lo, b.hi);
-      ++ingest_stats_.repaired_out_of_range;
-      repaired = true;
-    }
-    fixed[c] = v;
-  }
-  if (dead == kChannels) {
-    // Every field is garbage and there is nothing to hold: recording would
-    // invent a reading out of thin air. Drop it whole.
-    ingest_stats_.repaired_nonfinite -= kChannels;  // not repairs after all
-    ++ingest_stats_.quarantined;
-    ++q.quarantined;
-    q.last = ReadingQuality::kQuarantined;
-    return ReadingQuality::kQuarantined;
-  }
-  record(node, Reading{fixed[0], fixed[1], fixed[2]});
-  q.last = repaired ? ReadingQuality::kRepaired : ReadingQuality::kOk;
-  if (repaired) {
-    ++q.repaired;
-  } else {
-    ++ingest_stats_.ok;
-  }
-  return q.last;
-}
-
-void TelemetryStore::record_gap(topo::NodeId node) {
-  auto& pn = nodes_.at(static_cast<std::size_t>(node));
-  auto& q = quality_[static_cast<std::size_t>(node)];
-  if (pn.series[0].size() == 0) return;  // a gap before any data is a no-op
-  const Reading held{pn.series[0].back(), pn.series[1].back(),
-                     pn.series[2].back()};
-  record(node, held);
-  ++ingest_stats_.gaps_held;
-  ++q.gaps;
-}
-
-const NodeQuality& TelemetryStore::quality(topo::NodeId node) const {
-  return quality_.at(static_cast<std::size_t>(node));
 }
 
 float TelemetryStore::latest(topo::NodeId node, Channel c) const {

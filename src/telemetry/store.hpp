@@ -31,55 +31,12 @@ struct Reading {
   }
 };
 
-/// Physically plausible bounds per channel; record_checked() clamps to
-/// these and treats anything non-finite as a sensor fault.
-struct ChannelBounds {
-  float lo = 0.0f;
-  float hi = 0.0f;
-};
-inline constexpr std::array<ChannelBounds, kChannels> kChannelBounds = {{
-    {-40.0f, 150.0f},   // GPU temperature, Celsius
-    {0.0f, 2000.0f},    // GPU power, watts
-    {-40.0f, 150.0f},   // CPU temperature, Celsius
-}};
-
-/// Outcome of one hardened record: clean, repaired (one or more fields
-/// were clamped / substituted), or quarantined (nothing usable to record).
-enum class ReadingQuality : std::uint8_t { kOk = 0, kRepaired, kQuarantined };
-
-/// Per-node ingest quality flags (explicit, queryable — DESIGN.md §9).
-struct NodeQuality {
-  ReadingQuality last = ReadingQuality::kOk;
-  std::uint32_t repaired = 0;     ///< readings with >= 1 repaired field
-  std::uint32_t quarantined = 0;  ///< readings dropped whole
-  std::uint32_t gaps = 0;         ///< missing minutes filled by hold
-};
-
-/// Store-wide ingest accounting, one counter per repair reason.
-struct TelemetryIngestStats {
-  std::uint64_t ok = 0;
-  std::uint64_t repaired_nonfinite = 0;     ///< NaN/Inf field -> held value
-  std::uint64_t repaired_out_of_range = 0;  ///< field clamped to bounds
-  std::uint64_t gaps_held = 0;              ///< record_gap fills
-  std::uint64_t quarantined = 0;            ///< readings dropped whole
-
-  [[nodiscard]] std::uint64_t repaired() const noexcept {
-    return repaired_nonfinite + repaired_out_of_range;
-  }
-};
-
 /// Rolling + cumulative telemetry for every node in the machine.
 ///
 /// record() must be called exactly once per node per simulated minute (the
 /// simulator drives this); ring buffers then answer "stats over the last W
-/// minutes" queries that feed the pre-run feature windows.
-///
-/// record() trusts its input (the thermal model only produces finite,
-/// in-range values). Untrusted streams go through record_checked() /
-/// record_gap(), the hardened ingest path: sensor spikes are clamped,
-/// NaN/Inf fields repaired by holding the last good value, wholly-garbage
-/// first readings quarantined, and dropped minutes gap-filled — each
-/// outcome counted in ingest_stats() and flagged per node in quality().
+/// minutes" queries that feed the pre-run feature windows. record() trusts
+/// its input: the thermal model only produces finite, in-range values.
 class TelemetryStore {
  public:
   /// `history_minutes` bounds the look-back window (>= 61 for the paper's
@@ -87,25 +44,6 @@ class TelemetryStore {
   TelemetryStore(std::int32_t total_nodes, std::size_t history_minutes = 64);
 
   void record(topo::NodeId node, const Reading& r);
-
-  /// Hardened record for untrusted telemetry. Non-finite fields are
-  /// replaced with the node's most recent value of that channel (or the
-  /// channel's lower bound when no history exists); finite out-of-range
-  /// fields are clamped to kChannelBounds. A reading whose fields are ALL
-  /// non-finite while the node has no history is quarantined: nothing is
-  /// recorded and the caller should treat the minute as a gap.
-  ReadingQuality record_checked(topo::NodeId node, const Reading& r);
-
-  /// Gap-aware fill for a minute with no reading at all: holds the last
-  /// known value of every channel (zero-order interpolation) so window
-  /// statistics stay well-defined, and flags the minute in quality().
-  /// A gap before any reading exists records nothing.
-  void record_gap(topo::NodeId node);
-
-  [[nodiscard]] const NodeQuality& quality(topo::NodeId node) const;
-  [[nodiscard]] const TelemetryIngestStats& ingest_stats() const noexcept {
-    return ingest_stats_;
-  }
 
   /// Most recent reading of a channel; requires at least one record().
   [[nodiscard]] float latest(topo::NodeId node, Channel c) const;
@@ -141,8 +79,6 @@ class TelemetryStore {
   std::size_t history_minutes_;
   std::vector<PerNode> nodes_;
   std::vector<std::array<RunningStats, kChannels>> cumulative_;
-  std::vector<NodeQuality> quality_;
-  TelemetryIngestStats ingest_stats_;
 };
 
 }  // namespace repro::telemetry

@@ -16,6 +16,7 @@
 #include "audit/drift.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/evaluation.hpp"
 #include "core/retraining.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/logistic_regression.hpp"
@@ -149,7 +150,9 @@ TEST_F(AuditTest, AssessPublishesGauges) {
   const audit::QualityReport q = audit::assess(truth, proba);
   ASSERT_TRUE(q.valid);
   EXPECT_NEAR(q.positive_rate, 0.5, 1e-12);
-  audit::publish(q);
+  core::TwoStageRun run;
+  run.quality = q;
+  core::publish(run);
   bool saw_brier = false, saw_auc = false;
   for (const obs::Metric& m : obs::snapshot()) {
     if (m.key == "audit.brier") { saw_brier = true; EXPECT_NEAR(m.value, q.brier, 1e-12); }
@@ -367,7 +370,7 @@ TEST_F(AuditTest, SinkWritesParseableJsonlWithExpectedCounts) {
     }
   }
   std::size_t expected_records = 0;
-  for (const auto& p : periods) expected_records += p.test_samples;
+  for (const auto& p : periods) expected_records += p.idx.size();
   EXPECT_EQ(manifests, periods.size());
   EXPECT_EQ(predictions, expected_records);
   EXPECT_GT(with_contrib, 0u);  // GBDT decomposes: accepted rows explain
@@ -391,6 +394,80 @@ TEST_F(AuditTest, SinkPredictionLinesAreThreadCountInvariant) {
   const auto at1 = run(1, "audit_test_t1.jsonl");
   const auto at4 = run(4, "audit_test_t4.jsonl");
   ASSERT_FALSE(at1.empty());
+  EXPECT_EQ(at1, at4);
+}
+
+// --- gauges come from the serial caller, not the predictor ------------------
+
+/// Gauges in a snapshot: the non-integral metrics that are not timer totals.
+std::vector<std::pair<std::string, double>> gauges_of(
+    const std::vector<obs::Metric>& snapshot) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const obs::Metric& m : snapshot) {
+    if (!m.integral && !m.key.ends_with("_seconds")) {
+      out.emplace_back(m.key, m.value);
+    }
+  }
+  return out;
+}
+
+TEST_F(AuditTest, PredictorWritesNoGaugesAndPublishWritesTheRun) {
+  const sim::Trace& trace = shared_tiny_trace();
+  const Interval train{0, day_start(20)};
+  const Interval test{day_start(20), day_start(30)};
+  obs::set_enabled(true);
+  const core::TwoStageRun run = core::run_two_stage(trace, {}, train, test);
+  // Gauges registered by earlier tests survive obs::reset() at zero.
+  for (const auto& [key, v] : gauges_of(obs::snapshot())) {
+    EXPECT_EQ(v, 0.0) << key << " written before publish";
+  }
+  ASSERT_TRUE(run.quality.valid);
+  ASSERT_TRUE(run.drift.valid);
+
+  core::publish(run);
+  const auto gauges = gauges_of(obs::snapshot());
+  const auto value = [&](const std::string& key) {
+    for (const auto& [k, v] : gauges) {
+      if (k == key) return v;
+    }
+    ADD_FAILURE() << "missing gauge " << key;
+    return -1.0;
+  };
+  EXPECT_EQ(value("audit.survivor_rate"), run.survivor_rate);
+  EXPECT_EQ(value("audit.train_survivor_rate"), run.train_survivor_rate);
+  EXPECT_EQ(value("audit.train_positive_rate"), run.train_positive_rate);
+  EXPECT_EQ(value("audit.psi_max"), run.drift.psi_max);
+  EXPECT_EQ(value("audit.ks_max"), run.drift.ks_max);
+  EXPECT_EQ(value("audit.psi_drifted_features"),
+            static_cast<double>(run.drift.psi_drifted));
+  EXPECT_EQ(value("audit.brier"), run.quality.brier);
+  EXPECT_EQ(value("audit.auc"), run.quality.auc);
+}
+
+TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
+  // Sweep cells run concurrently; the audit gauges must still come from one
+  // fixed cell, so the whole snapshot (minus wall-clock seconds and the
+  // pool's region-span call counts) matches across thread counts.
+  const sim::Trace& trace = shared_tiny_trace();
+  const auto splits = core::SplitSpec::sliding(30, 15, 7, 4, 2);
+  const std::vector<ml::ModelKind> models = {
+      ml::ModelKind::kGbdt, ml::ModelKind::kLogisticRegression};
+  const auto run = [&](std::size_t threads) {
+    obs::reset();
+    obs::set_enabled(true);
+    set_parallel_threads(threads);
+    (void)core::two_stage_sweep(trace, splits, models, {});
+    std::vector<std::pair<std::string, double>> kept;
+    for (const obs::Metric& m : obs::snapshot()) {
+      if (!m.key.ends_with("_seconds") && !m.key.ends_with("_calls")) {
+        kept.emplace_back(m.key, m.value);
+      }
+    }
+    return kept;
+  };
+  const auto at1 = run(1);
+  const auto at4 = run(4);
+  EXPECT_FALSE(gauges_of(obs::snapshot()).empty());
   EXPECT_EQ(at1, at4);
 }
 

@@ -21,15 +21,13 @@ TEST(BenchSmoke, GbdtTrainsDownsizedTable3Split) {
                                          /*count=*/1);
   ASSERT_EQ(splits.size(), 1u);
 
-  TwoStageConfig config;
-  config.model = ml::ModelKind::kGbdt;
-  TwoStagePredictor predictor(config);
-  predictor.train(trace, splits[0].train);
-  ASSERT_TRUE(predictor.trained());
-  EXPECT_GT(predictor.stage2_training_size(), 100u);
-  EXPECT_GT(predictor.train_seconds(), 0.0);
+  const TwoStageRun run = run_two_stage(
+      trace, {.model = ml::ModelKind::kGbdt}, splits[0].train, splits[0].test);
+  ASSERT_FALSE(run.degraded);
+  EXPECT_GT(run.stage2_size, 100u);
+  EXPECT_GT(run.train_seconds, 0.0);
 
-  const auto metrics = predictor.evaluate(trace, splits[0].test);
+  const ml::ClassMetrics& metrics = run.metrics;
   // Loose floors: the paper-shaped pipeline scores far above these on this
   // trace; the bounds only catch a trainer that stopped learning.
   EXPECT_GT(metrics.positive.f1, 0.3);

@@ -9,21 +9,16 @@
 namespace repro {
 namespace {
 
-TEST(Csv, RoundTripsQuotedFields) {
+TEST(Csv, WriterQuotesFieldsThatNeedIt) {
   std::ostringstream out;
   CsvWriter writer(out, {"name", "value", "note"});
   writer.write_row({std::string("plain"), "1", "with,comma"});
   writer.write_row({std::string("q\"uote"), "2", "multi\nline"});
   EXPECT_EQ(writer.rows_written(), 2u);
-
-  std::istringstream in(out.str());
-  const CsvContent content = read_csv(in);
-  ASSERT_EQ(content.header.size(), 3u);
-  EXPECT_EQ(content.header[0], "name");
-  ASSERT_EQ(content.rows.size(), 2u);
-  EXPECT_EQ(content.rows[0][2], "with,comma");
-  EXPECT_EQ(content.rows[1][0], "q\"uote");
-  EXPECT_EQ(content.rows[1][2], "multi\nline");
+  EXPECT_EQ(out.str(),
+            "name,value,note\n"
+            "plain,1,\"with,comma\"\n"
+            "\"q\"\"uote\",2,\"multi\nline\"\n");
 }
 
 TEST(Csv, NumericRowsUsePrecision) {
@@ -43,13 +38,6 @@ TEST(Csv, EscapeOnlyWhenNeeded) {
   EXPECT_EQ(csv_escape("plain"), "plain");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
   EXPECT_EQ(csv_escape("a\"b"), "\"a\"\"b\"");
-}
-
-TEST(Csv, ReadHandlesCrlfAndTrailingNewline) {
-  std::istringstream in("a,b\r\n1,2\r\n");
-  const CsvContent content = read_csv(in);
-  ASSERT_EQ(content.rows.size(), 1u);
-  EXPECT_EQ(content.rows[0][1], "2");
 }
 
 TEST(TextTable, AlignsColumns) {

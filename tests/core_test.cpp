@@ -143,11 +143,9 @@ class TwoStageTest : public ::testing::Test {
 };
 
 TEST_F(TwoStageTest, BeatsBasicA) {
-  TwoStageConfig config;
-  config.model = ml::ModelKind::kGbdt;
-  TwoStagePredictor predictor(config);
-  predictor.train(trace_, train_);
-  const auto m = predictor.evaluate(trace_, test_);
+  const auto m = run_two_stage(trace_, {.model = ml::ModelKind::kGbdt},
+                               train_, test_)
+                     .metrics;
 
   BasicScheme basic_a(BasicKind::kBasicA);
   basic_a.train(trace_, train_);
@@ -213,14 +211,12 @@ TEST_F(TwoStageTest, UndersamplingShrinksStage2) {
 TEST_F(TwoStageTest, ForecastedFeaturesGiveSimilarResults) {
   // Sec. VI-A: "We experiment with two approaches and achieve similar
   // results." Approach 2 forecasts the current-run T/P features.
-  TwoStageConfig approach1;
   TwoStageConfig approach2;
   approach2.features.forecast_current_run = true;
-  TwoStagePredictor p1(approach1), p2(approach2);
-  p1.train(trace_, train_);
-  p2.train(trace_, train_);
-  const double f1_measured = p1.evaluate(trace_, test_).positive.f1;
-  const double f1_forecast = p2.evaluate(trace_, test_).positive.f1;
+  const double f1_measured =
+      run_two_stage(trace_, {}, train_, test_).metrics.positive.f1;
+  const double f1_forecast =
+      run_two_stage(trace_, approach2, train_, test_).metrics.positive.f1;
   EXPECT_GT(f1_forecast, 0.4);
   EXPECT_NEAR(f1_forecast, f1_measured, 0.12);
 }
@@ -238,16 +234,14 @@ TEST_F(TwoStageTest, PipelineIsBitwiseInvariantAcrossThreadCounts) {
   // pipeline must produce byte-identical results at any thread count.
   TwoStageConfig config;
   config.model = ml::ModelKind::kGbdt;
-  const auto idx = samples_in(trace_, test_);
 
   std::vector<float> baseline;
   ml::ClassMetrics baseline_metrics{};
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     set_parallel_threads(threads);
-    TwoStagePredictor predictor(config);
-    predictor.train(trace_, train_);
-    const auto proba = predictor.predict_proba(trace_, idx);
-    const auto metrics = predictor.evaluate(trace_, test_);
+    const TwoStageRun run = run_two_stage(trace_, config, train_, test_);
+    const std::vector<float>& proba = run.proba;
+    const ml::ClassMetrics& metrics = run.metrics;
     if (threads == 1) {
       baseline = proba;
       baseline_metrics = metrics;
@@ -264,6 +258,34 @@ TEST_F(TwoStageTest, PipelineIsBitwiseInvariantAcrossThreadCounts) {
     EXPECT_EQ(metrics.positive.f1, baseline_metrics.positive.f1);
   }
   set_parallel_threads(1);
+}
+
+TEST_F(TwoStageTest, RunScoresTheTestWindowOnceLikeThePredictor) {
+  const TwoStageRun run = run_two_stage(trace_, {}, train_, test_);
+  TwoStagePredictor predictor({});
+  predictor.train(trace_, train_);
+  const auto idx = samples_in(trace_, test_);
+  std::vector<float> proba;
+  const auto pred = predictor.predict(trace_, idx, &proba);
+  EXPECT_EQ(run.train.end, train_.end);
+  EXPECT_EQ(run.test.begin, test_.begin);
+  EXPECT_EQ(run.idx, idx);
+  EXPECT_EQ(run.proba, proba);  // bitwise
+  EXPECT_EQ(run.pred, pred);
+  const auto m = evaluate_predictions(trace_, idx, pred);
+  EXPECT_EQ(run.metrics.confusion.tp, m.confusion.tp);
+  EXPECT_EQ(run.metrics.confusion.fp, m.confusion.fp);
+  EXPECT_EQ(run.metrics.confusion.fn, m.confusion.fn);
+  EXPECT_EQ(run.metrics.positive.f1, m.positive.f1);
+  EXPECT_EQ(run.stage2_size, predictor.stage2_training_size());
+  EXPECT_EQ(run.offender_nodes,
+            static_cast<std::size_t>(std::count(
+                predictor.offender_mask().begin(),
+                predictor.offender_mask().end(), 1)));
+  EXPECT_FALSE(run.degraded);
+  EXPECT_GT(run.train_seconds, 0.0);
+  EXPECT_GT(run.survivor_rate, 0.0);
+  EXPECT_LT(run.survivor_rate, 1.0);
 }
 
 TEST_F(TwoStageTest, TrainSecondsIsPopulated) {
@@ -389,7 +411,7 @@ TEST(Retraining, PeriodsTileTheTrace) {
   for (const auto& p : periods) {
     EXPECT_EQ(p.train.end, p.test.begin);
     EXPECT_EQ(p.train.length(), 20 * kMinutesPerDay);
-    EXPECT_GT(p.test_samples, 0u);
+    EXPECT_GT(p.idx.size(), 0u);
     EXPECT_GT(p.offender_nodes, 0u);
     EXPECT_GT(p.metrics.positive.f1, 0.0);
   }

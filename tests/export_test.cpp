@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
-#include "common/csv.hpp"
-#include "core/sample_index.hpp"
 #include "support/test_trace.hpp"
 
 namespace repro::sim {
@@ -13,23 +13,39 @@ namespace {
 
 using repro::testing::shared_tiny_trace;
 
+/// Exported CSV text as rows of fields, header first. The exporters never
+/// need quoting (no value holds ',', '"' or a newline), which this checks.
+std::vector<std::vector<std::string>> split_csv(const std::string& text) {
+  EXPECT_EQ(text.find('"'), std::string::npos);
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string>& row = rows.emplace_back();
+    std::istringstream fields(line);
+    std::string field;
+    while (std::getline(fields, field, ',')) row.push_back(field);
+  }
+  return rows;
+}
+
 TEST(Export, SamplesCsvRoundTrips) {
   const Trace& trace = shared_tiny_trace();
   std::ostringstream out;
   const std::size_t rows = export_samples_csv(trace, out);
   EXPECT_EQ(rows, trace.samples.size());
 
-  std::istringstream in(out.str());
-  const CsvContent csv = read_csv(in);
-  ASSERT_EQ(csv.rows.size(), trace.samples.size());
-  ASSERT_GE(csv.header.size(), 14u);
-  EXPECT_EQ(csv.header[0], "run");
+  const auto csv = split_csv(out.str());
+  ASSERT_EQ(csv.size(), trace.samples.size() + 1);
+  ASSERT_GE(csv[0].size(), 14u);
+  EXPECT_EQ(csv[0][0], "run");
   // Spot-check a row against the sample.
   const auto& s = trace.samples[7];
-  EXPECT_EQ(csv.rows[7][0], std::to_string(s.run));
-  EXPECT_EQ(csv.rows[7][4], std::to_string(s.node));
-  EXPECT_EQ(csv.rows[7][12], std::to_string(s.sbe_count));
-  EXPECT_EQ(csv.rows[7][2], trace.catalog.spec(s.app).name);
+  const auto& row = csv[7 + 1];
+  EXPECT_EQ(row[0], std::to_string(s.run));
+  EXPECT_EQ(row[4], std::to_string(s.node));
+  EXPECT_EQ(row[12], std::to_string(s.sbe_count));
+  EXPECT_EQ(row[2], trace.catalog.spec(s.app).name);
 }
 
 TEST(Export, SbeLogCsvMatchesEvents) {
@@ -37,11 +53,10 @@ TEST(Export, SbeLogCsvMatchesEvents) {
   std::ostringstream out;
   const std::size_t rows = export_sbe_log_csv(trace, out);
   EXPECT_EQ(rows, trace.sbe_log.events().size());
-  std::istringstream in(out.str());
-  const CsvContent csv = read_csv(in);
-  ASSERT_EQ(csv.rows.size(), rows);
+  const auto csv = split_csv(out.str());
+  ASSERT_EQ(csv.size(), rows + 1);
   for (std::size_t i = 0; i < rows; ++i) {
-    EXPECT_EQ(csv.rows[i][5],
+    EXPECT_EQ(csv[i + 1][5],
               std::to_string(trace.sbe_log.events()[i].count));
   }
 }
@@ -53,12 +68,13 @@ TEST(Export, FeaturesCsvHasLabelColumn) {
   std::ostringstream out;
   const std::size_t rows = export_features_csv(trace, fx, idx, out);
   EXPECT_EQ(rows, 3u);
-  std::istringstream in(out.str());
-  const CsvContent csv = read_csv(in);
-  ASSERT_EQ(csv.header.size(), fx.dim() + 1);
-  EXPECT_EQ(csv.header.back(), "label");
+  const auto csv = split_csv(out.str());
+  ASSERT_EQ(csv.size(), 4u);
+  ASSERT_EQ(csv[0].size(), fx.dim() + 1);
+  EXPECT_EQ(csv[0].back(), "label");
   for (std::size_t r = 0; r < 3; ++r) {
-    const double label = std::stod(csv.rows[r].back());
+    ASSERT_EQ(csv[r + 1].size(), fx.dim() + 1);
+    const double label = std::stod(csv[r + 1].back());
     EXPECT_EQ(label, trace.samples[idx[r]].sbe_affected() ? 1.0 : 0.0);
   }
 }

@@ -213,54 +213,6 @@ TEST(SanitizeSamples, InjectedAndIngestedTraceKeepsRunEndOrder) {
   EXPECT_TRUE(ordered_by_end(trace.samples));
 }
 
-// --- hardened telemetry store ----------------------------------------------
-
-TEST(TelemetryHardenedIngest, RepairsNonFiniteByHoldingLastValue) {
-  telemetry::TelemetryStore store(2);
-  EXPECT_EQ(store.record_checked(0, {40.0f, 120.0f, 35.0f}),
-            telemetry::ReadingQuality::kOk);
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_EQ(store.record_checked(0, {nan, 130.0f, 36.0f}),
-            telemetry::ReadingQuality::kRepaired);
-  EXPECT_FLOAT_EQ(store.latest(0, telemetry::Channel::kGpuTemp), 40.0f);
-  EXPECT_FLOAT_EQ(store.latest(0, telemetry::Channel::kGpuPower), 130.0f);
-  EXPECT_EQ(store.ingest_stats().repaired_nonfinite, 1u);
-  EXPECT_EQ(store.quality(0).repaired, 1u);
-}
-
-TEST(TelemetryHardenedIngest, ClampsOutOfRangeSpikes) {
-  telemetry::TelemetryStore store(1);
-  EXPECT_EQ(store.record_checked(0, {1.0e6f, -5.0f, 30.0f}),
-            telemetry::ReadingQuality::kRepaired);
-  EXPECT_FLOAT_EQ(store.latest(0, telemetry::Channel::kGpuTemp), 150.0f);
-  EXPECT_FLOAT_EQ(store.latest(0, telemetry::Channel::kGpuPower), 0.0f);
-  EXPECT_EQ(store.ingest_stats().repaired_out_of_range, 2u);
-}
-
-TEST(TelemetryHardenedIngest, QuarantinesAllGarbageFirstReading) {
-  telemetry::TelemetryStore store(1);
-  const float inf = std::numeric_limits<float>::infinity();
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_EQ(store.record_checked(0, {nan, inf, -inf}),
-            telemetry::ReadingQuality::kQuarantined);
-  EXPECT_EQ(store.history_size(0), 0u);
-  EXPECT_EQ(store.ingest_stats().quarantined, 1u);
-  EXPECT_EQ(store.quality(0).quarantined, 1u);
-}
-
-TEST(TelemetryHardenedIngest, GapFillHoldsLastReading) {
-  telemetry::TelemetryStore store(1);
-  store.record_gap(0);  // gap before any data records nothing
-  EXPECT_EQ(store.history_size(0), 0u);
-  EXPECT_EQ(store.record_checked(0, {42.0f, 100.0f, 33.0f}),
-            telemetry::ReadingQuality::kOk);
-  store.record_gap(0);
-  EXPECT_EQ(store.history_size(0), 2u);
-  EXPECT_FLOAT_EQ(store.latest(0, telemetry::Channel::kGpuTemp), 42.0f);
-  EXPECT_EQ(store.ingest_stats().gaps_held, 1u);
-  EXPECT_EQ(store.quality(0).gaps, 1u);
-}
-
 // --- injection determinism ---------------------------------------------------
 
 TEST(Injection, ZeroRatesAreAnExactNoOp) {
@@ -343,19 +295,15 @@ TEST(Injection, CorruptedPipelineTrainsAndPredictsFinite) {
   sim::ingest_trace(trace);
 
   const auto split = core::SplitSpec::sliding(30, 20, 8, 1, 1).front();
-  core::TwoStageConfig config;
-  core::TwoStagePredictor predictor(config);
-  predictor.train(trace, split.train);
-  const auto idx = core::samples_in(trace, split.test);
-  ASSERT_FALSE(idx.empty());
-  const auto proba = predictor.predict_proba(trace, idx);
-  for (const float p : proba) {
+  const core::TwoStageRun run =
+      core::run_two_stage(trace, {}, split.train, split.test);
+  ASSERT_FALSE(run.idx.empty());
+  for (const float p : run.proba) {
     EXPECT_TRUE(std::isfinite(p));
     EXPECT_GE(p, 0.0f);
     EXPECT_LE(p, 1.0f);
   }
-  const auto metrics = predictor.evaluate(trace, split.test);
-  EXPECT_TRUE(std::isfinite(metrics.positive.f1));
+  EXPECT_TRUE(std::isfinite(run.metrics.positive.f1));
 }
 
 TEST(Injection, AllResetsDegradeTwoStageGracefully) {
@@ -369,19 +317,15 @@ TEST(Injection, AllResetsDegradeTwoStageGracefully) {
   EXPECT_TRUE(trace.sbe_log.events().empty());
 
   const auto split = core::SplitSpec::sliding(30, 20, 8, 1, 1).front();
-  core::TwoStageConfig ts_config;
-  core::TwoStagePredictor predictor(ts_config);
-  predictor.train(trace, split.train);  // must not throw
-  EXPECT_TRUE(predictor.degraded());
-  EXPECT_TRUE(predictor.trained());
-  const auto idx = core::samples_in(trace, split.test);
-  std::vector<float> proba;
-  const auto pred = predictor.predict(trace, idx, &proba);
-  for (const float p : proba) EXPECT_EQ(p, 0.0f);
-  for (const auto y : pred) EXPECT_EQ(y, 0);
-  const auto metrics = predictor.evaluate(trace, split.test);
-  EXPECT_EQ(metrics.confusion.tp, 0u);
-  EXPECT_EQ(metrics.confusion.fp, 0u);
+  // Must not throw: a degraded predictor still counts as trained.
+  const core::TwoStageRun run =
+      core::run_two_stage(trace, {}, split.train, split.test);
+  EXPECT_TRUE(run.degraded);
+  ASSERT_FALSE(run.idx.empty());
+  for (const float p : run.proba) EXPECT_EQ(p, 0.0f);
+  for (const auto y : run.pred) EXPECT_EQ(y, 0);
+  EXPECT_EQ(run.metrics.confusion.tp, 0u);
+  EXPECT_EQ(run.metrics.confusion.fp, 0u);
 }
 
 // --- file-level corruption (v06 format) --------------------------------------

@@ -76,49 +76,6 @@ TEST(Undersample, KeepsEverythingWhenRatioGenerous) {
   EXPECT_EQ(u.size(), 100u);
 }
 
-TEST(Oversample, SynthesizesMinorityRows) {
-  const Dataset d = make_dataset(400, 40);
-  Rng rng(4);
-  const Dataset o = oversample_minority(d, 2.0, 5, rng);
-  EXPECT_EQ(o.negatives(), 400u);
-  EXPECT_GE(o.positives(), 200u);
-  // Synthetic rows interpolate real positives, so they stay in the
-  // positive cluster (x0 around 3).
-  double mean_x0 = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = d.size(); i < o.size(); ++i) {
-    EXPECT_EQ(o.y[i], 1);
-    mean_x0 += o.X.at(i, 0);
-    ++n;
-  }
-  ASSERT_GT(n, 0u);
-  EXPECT_NEAR(mean_x0 / static_cast<double>(n), 3.0, 0.8);
-}
-
-TEST(Oversample, NoOpWhenAlreadyBalanced) {
-  const Dataset d = make_dataset(50, 50);
-  Rng rng(5);
-  const Dataset o = oversample_minority(d, 2.0, 5, rng);
-  EXPECT_EQ(o.size(), d.size());
-}
-
-TEST(StratifiedSplit, PreservesClassBalance) {
-  const Dataset d = make_dataset(800, 200);
-  Rng rng(6);
-  const auto [train, test] = stratified_split(d, 0.25, rng);
-  EXPECT_EQ(train.size() + test.size(), d.size());
-  EXPECT_EQ(test.positives(), 50u);
-  EXPECT_EQ(test.negatives(), 200u);
-  EXPECT_EQ(train.positives(), 150u);
-}
-
-TEST(StratifiedSplit, RejectsDegenerateFraction) {
-  const Dataset d = make_dataset(10, 10);
-  Rng rng(7);
-  EXPECT_THROW(stratified_split(d, 0.0, rng), CheckError);
-  EXPECT_THROW(stratified_split(d, 1.0, rng), CheckError);
-}
-
 TEST(Matrix, PushRowAndAccess) {
   Matrix m;
   m.push_row(std::vector<float>{1.0f, 2.0f});

@@ -118,21 +118,8 @@ TEST(FeatureBinner, EdgeRoundTripMatchesTreePredictConvention) {
   }
 }
 
-TEST(FeatureBinner, TransformMatchesPerValueCodes) {
-  Matrix X = random_matrix(200, 2, 3);
-  FeatureBinner binner;
-  binner.fit(X, 32);
-  const auto codes = binner.transform(X);
-  ASSERT_EQ(codes.size(), 400u);
-  for (std::size_t r = 0; r < 200; ++r) {
-    for (std::size_t f = 0; f < 2; ++f) {
-      EXPECT_EQ(codes[r * 2 + f], binner.code(f, X.at(r, f)));
-    }
-  }
-}
-
-TEST(FeatureBinner, ColumnMajorTransformMatchesRowMajor) {
-  // transform_columns must agree with transform code-for-code, and its
+TEST(FeatureBinner, TransformColumnsMatchesPerValueCodes) {
+  // Every column-major code must be the per-value code(f, x), and the
   // packed offsets must give every splittable feature exactly bins(f)
   // histogram slots while constant features get a zero-width slice.
   Matrix X = random_matrix(300, 3, 23);
@@ -140,7 +127,6 @@ TEST(FeatureBinner, ColumnMajorTransformMatchesRowMajor) {
   FeatureBinner binner;
   binner.fit(X, 32);
   ASSERT_EQ(binner.bins(1), 1u);
-  const auto row_major = binner.transform(X);
   const BinnedColumns binned = binner.transform_columns(X);
   ASSERT_EQ(binned.rows, X.rows());
   ASSERT_EQ(binned.features, X.cols());
@@ -152,7 +138,8 @@ TEST(FeatureBinner, ColumnMajorTransformMatchesRowMajor) {
     expected_total += width;
     const std::uint8_t* col = binned.column(f);
     for (std::size_t r = 0; r < X.rows(); ++r) {
-      ASSERT_EQ(col[r], row_major[r * X.cols() + f]) << "r=" << r << " f=" << f;
+      ASSERT_EQ(col[r], binner.code(f, X.at(r, f)))
+          << "r=" << r << " f=" << f;
     }
   }
   EXPECT_EQ(binned.total_bins(), expected_total);
@@ -172,7 +159,12 @@ class NaiveGbdt {
     const std::size_t n = d.size();
     const std::size_t dims = d.features();
     binner_.fit(d.X, params_.max_bins);
-    const auto codes = binner_.transform(d.X);
+    std::vector<std::uint8_t> codes(n * dims);  // row-major, per value
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t f = 0; f < dims; ++f) {
+        codes[r * dims + f] = binner_.code(f, d.X.at(r, f));
+      }
+    }
 
     double wpos = 0.0, wtot = 0.0;
     for (const Label l : d.y) {

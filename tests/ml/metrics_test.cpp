@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "common/error.hpp"
 
 namespace repro::ml {
 namespace {
@@ -88,40 +87,6 @@ TEST(EvaluateProba, ThresholdApplies) {
   EXPECT_EQ(strict.confusion.fp, 0u);
   const ClassMetrics loose = evaluate_proba(truth, proba, 0.5f);
   EXPECT_EQ(loose.confusion.fp, 1u);
-}
-
-TEST(BestF1Threshold, FindsSeparatingCut) {
-  const std::vector<std::uint8_t> truth = {1, 1, 1, 0, 0, 0};
-  const std::vector<float> proba = {0.9f, 0.8f, 0.7f, 0.3f, 0.2f, 0.1f};
-  const float thr = best_f1_threshold(truth, proba);
-  EXPECT_GT(thr, 0.3f);
-  EXPECT_LT(thr, 0.7f);
-  const ClassMetrics m = evaluate_proba(truth, proba, thr);
-  EXPECT_DOUBLE_EQ(m.positive.f1, 1.0);
-}
-
-TEST(BestF1Threshold, NeverWorseThanDefault) {
-  std::vector<std::uint8_t> truth;
-  std::vector<float> proba;
-  Rng rng = Rng(9);
-  for (int i = 0; i < 500; ++i) {
-    const bool pos = rng.bernoulli(0.2);
-    truth.push_back(pos ? 1 : 0);
-    proba.push_back(static_cast<float>(
-        std::clamp(rng.normal(pos ? 0.6 : 0.4, 0.2), 0.0, 1.0)));
-  }
-  const float thr = best_f1_threshold(truth, proba);
-  const double tuned = evaluate_proba(truth, proba, thr).positive.f1;
-  const double plain = evaluate_proba(truth, proba, 0.5f).positive.f1;
-  EXPECT_GE(tuned, plain - 1e-12);
-}
-
-TEST(BestF1Threshold, HandlesTiedScores) {
-  const std::vector<std::uint8_t> truth = {1, 0, 1, 0};
-  const std::vector<float> proba = {0.5f, 0.5f, 0.5f, 0.5f};
-  const float thr = best_f1_threshold(truth, proba);
-  EXPECT_GE(thr, 0.0f);
-  EXPECT_LE(thr, 1.0f);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST_P(AllModelsTest, BatchMatchesSinglePrediction) {
   const Dataset train = linear_blobs(600, 4);
   auto model = make_model(GetParam(), 77);
   model->fit(train);
-  const auto batch = model->predict_proba_batch(train.X);
+  const auto batch = model->predict_proba_many(train.X);
   for (const std::size_t i : {0UL, 10UL, 99UL}) {
     EXPECT_FLOAT_EQ(batch[i], model->predict_proba(train.X.row(i)));
   }
@@ -179,16 +179,6 @@ TEST(Svm, SmoKeepsOnlySupportVectors) {
   svm.fit(train);
   EXPECT_GT(svm.support_vector_count(), 0u);
   EXPECT_LT(svm.support_vector_count(), train.size());
-}
-
-TEST(Svm, RffModeAlsoLearns) {
-  Svm::Params params;
-  params.mode = Svm::Mode::kRffLinear;
-  const Dataset train = xor_blobs(2'000, 12);
-  const Dataset test = xor_blobs(500, 13);
-  Svm svm(params, 5);
-  svm.fit(train);
-  EXPECT_GT(accuracy_on(svm, test), 0.85);
 }
 
 TEST(LogisticRegression, RecoverableCoefficients) {

@@ -159,9 +159,7 @@ TEST_F(ObsTest, SnapshotCountersAreThreadCountInvariant) {
     obs::reset();
     obs::set_enabled(true);
     set_parallel_threads(threads);
-    core::TwoStagePredictor predictor({});
-    predictor.train(trace, train);
-    (void)predictor.evaluate(trace, test);
+    (void)core::run_two_stage(trace, {}, train, test);
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     for (const obs::Metric& m : obs::snapshot()) {
       if (m.integral && !m.key.ends_with("_calls")) {
@@ -186,9 +184,7 @@ TEST_F(ObsTest, TracingLeavesTwoStageResultsBitIdentical) {
   const Interval test{day_start(20), day_start(30)};
 
   const auto run = [&] {
-    core::TwoStagePredictor predictor({});
-    predictor.train(trace, train);
-    return predictor.evaluate(trace, test);
+    return core::run_two_stage(trace, {}, train, test).metrics;
   };
   obs::set_enabled(false);
   obs::set_capturing(false);

@@ -77,23 +77,6 @@ TEST_P(PropertyTest, F1IsHarmonicMeanBound) {
   EXPECT_LE(m.f1, std::max(m.precision, m.recall) + 1e-12);
 }
 
-TEST_P(PropertyTest, BestThresholdNeverLosesToAnyFixedOne) {
-  std::vector<std::uint8_t> truth;
-  std::vector<float> proba;
-  for (int i = 0; i < 400; ++i) {
-    const bool pos = rng_.bernoulli(0.15);
-    truth.push_back(pos ? 1 : 0);
-    proba.push_back(static_cast<float>(
-        std::clamp(rng_.normal(pos ? 0.55 : 0.45, 0.2), 0.0, 1.0)));
-  }
-  const float best = ml::best_f1_threshold(truth, proba);
-  const double best_f1 = ml::evaluate_proba(truth, proba, best).positive.f1;
-  for (const float thr : {0.1f, 0.3f, 0.5f, 0.7f, 0.9f}) {
-    EXPECT_GE(best_f1,
-              ml::evaluate_proba(truth, proba, thr).positive.f1 - 1e-12);
-  }
-}
-
 TEST_P(PropertyTest, RingSeriesAgreesWithVectorReference) {
   const std::size_t capacity = 8 + GetParam() * 7 % 56;
   telemetry::RingSeries ring(capacity);

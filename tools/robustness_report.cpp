@@ -8,8 +8,7 @@
 // Table III bench times — on a sliding split. The result is an
 // F1-vs-corruption-rate curve plus full fault accounting (injected vs
 // quarantined vs repaired), written as a BENCH-style artifact
-// (BENCH_robustness[_smoke].json) that tools/bench_diff can gate and
-// examples/fleet_monitor mirrors as a live panel.
+// (BENCH_robustness[_smoke].json) that tools/bench_diff can gate.
 //
 // The rate-0 point doubles as a bit-identity check: injection at rate 0 is
 // a no-op and ingest of a clean trace must accept every record unchanged,
@@ -26,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/sample_index.hpp"
 #include "core/splits.hpp"
 #include "core/two_stage.hpp"
 #include "inject/inject.hpp"
@@ -40,11 +38,9 @@ using namespace repro;
 
 struct Point {
   double rate = 0.0;
-  ml::ClassMetrics metrics;
   inject::InjectionReport injected;
   sim::IngestReport ingest;
-  bool degraded = false;
-  std::vector<float> proba;  ///< per test sample, for bit-identity checks
+  core::TwoStageRun run;
 };
 
 /// Runs corrupt -> ingest -> train -> eval at one injection rate on a
@@ -57,32 +53,13 @@ Point run_point(const sim::Trace& clean, double rate,
   p.injected = inject::corrupt_trace(trace,
                                      inject::FaultConfig::uniform(rate));
   p.ingest = sim::ingest_trace(trace);
-
-  core::TwoStageConfig config;  // defaults = the paper pipeline (GBDT)
-  core::TwoStagePredictor predictor(config);
-  predictor.train(trace, split.train);
-  p.degraded = predictor.degraded();
-  const std::vector<std::size_t> idx = core::samples_in(trace, split.test);
-  const std::vector<ml::Label> pred = predictor.predict(trace, idx, &p.proba);
-  p.metrics = core::evaluate_predictions(trace, idx, pred);
+  // Defaults = the paper pipeline (GBDT).
+  p.run = core::run_two_stage(trace, {}, split.train, split.test);
+  core::publish(p.run);
   return p;
 }
 
-/// The direct pipeline: no injection, no ingest — exactly what every bench
-/// runs on the cached trace.
-Point run_direct(const sim::Trace& clean, const core::SplitSpec& split) {
-  Point p;
-  core::TwoStageConfig config;
-  core::TwoStagePredictor predictor(config);
-  predictor.train(clean, split.train);
-  p.degraded = predictor.degraded();
-  const std::vector<std::size_t> idx = core::samples_in(clean, split.test);
-  const std::vector<ml::Label> pred = predictor.predict(clean, idx, &p.proba);
-  p.metrics = core::evaluate_predictions(clean, idx, pred);
-  return p;
-}
-
-bool bit_identical(const Point& a, const Point& b) {
+bool bit_identical(const core::TwoStageRun& a, const core::TwoStageRun& b) {
   if (a.proba.size() != b.proba.size()) return false;
   if (!a.proba.empty() &&
       std::memcmp(a.proba.data(), b.proba.data(),
@@ -134,35 +111,38 @@ int main(int argc, char** argv) {
               static_cast<long long>(config.days), rates.size());
   const sim::Trace clean = sim::simulate(config);
 
-  const Point direct = run_direct(clean, split);
+  // The direct pipeline: no injection, no ingest — exactly what every
+  // bench runs on the cached trace.
+  const core::TwoStageRun direct =
+      core::run_two_stage(clean, {}, split.train, split.test);
+  const ml::PrMetrics& d = direct.metrics.positive;
   std::printf("  %-10s F1 %.4f  precision %.4f  recall %.4f\n", "direct",
-              direct.metrics.positive.f1, direct.metrics.positive.precision,
-              direct.metrics.positive.recall);
+              d.f1, d.precision, d.recall);
 
   bool zero_identical = false;
   for (const double rate : rates) {
     const Point p = run_point(clean, rate, split);
+    const ml::PrMetrics& m = p.run.metrics.positive;
     std::printf("  rate %.3f  F1 %.4f  precision %.4f  recall %.4f  "
                 "injected %llu  quarantined %llu  repaired %llu%s\n",
-                rate, p.metrics.positive.f1, p.metrics.positive.precision,
-                p.metrics.positive.recall,
+                rate, m.f1, m.precision, m.recall,
                 static_cast<unsigned long long>(p.injected.total()),
                 static_cast<unsigned long long>(p.ingest.quarantined()),
                 static_cast<unsigned long long>(p.ingest.repaired()),
-                p.degraded ? "  [degraded]" : "");
+                p.run.degraded ? "  [degraded]" : "");
     const std::string k = rate_key(rate);
     artifact.set(k + ".rate", rate);
-    artifact.set(k + ".f1", p.metrics.positive.f1);
-    artifact.set(k + ".precision", p.metrics.positive.precision);
-    artifact.set(k + ".recall", p.metrics.positive.recall);
-    artifact.set(k + ".degraded", p.degraded);
+    artifact.set(k + ".f1", m.f1);
+    artifact.set(k + ".precision", m.precision);
+    artifact.set(k + ".recall", m.recall);
+    artifact.set(k + ".degraded", p.run.degraded);
     artifact.set_int(k + ".injected", p.injected.total());
     artifact.set_int(k + ".quarantined", p.ingest.quarantined());
     artifact.set_int(k + ".repaired", p.ingest.repaired());
     artifact.set_int(k + ".samples_quarantined", p.ingest.samples.quarantined);
     artifact.set_int(k + ".sbe_quarantined", p.ingest.sbe.quarantined());
     if (rate == 0.0) {
-      zero_identical = bit_identical(direct, p);
+      zero_identical = bit_identical(direct, p.run);
       // Clean input must pass through untouched: nothing to quarantine or
       // repair, and the model must not be able to tell ingest ever ran.
       if (p.ingest.quarantined() != 0 || p.ingest.repaired() != 0) {
@@ -175,7 +155,7 @@ int main(int argc, char** argv) {
     }
   }
   artifact.set_int("points", static_cast<long long>(rates.size()));
-  artifact.set("direct.f1", direct.metrics.positive.f1);
+  artifact.set("direct.f1", d.f1);
   artifact.set("zero_injection_bit_identical", zero_identical);
   artifact.write();
 
