@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -31,10 +32,11 @@ struct Job {
   const std::size_t chunks;
   const std::size_t helpers;        // workers allowed to join (main joins too)
   const std::function<void(std::size_t)>& fn;
-  // Observability label for this region: the innermost span open on the
-  // dispatching thread (nullptr when tracing is disabled). Every thread
-  // that drains chunks opens a span with this name on its own track, so
-  // fanned-out work nests under the region that spawned it.
+  // Observability label for this region: "<span>/region" after the
+  // innermost span open on the dispatching thread (nullptr when tracing is
+  // disabled). Every thread that drains chunks opens a span with this name
+  // on its own track, so fanned-out work nests under the region that
+  // spawned it without repeating the parent span's name.
   const char* obs_region = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
@@ -67,8 +69,9 @@ class Pool {
     ensure_workers(helpers);
     auto job = std::make_shared<Job>(chunks, helpers, fn);
     if (obs::enabled()) {
-      const char* region = obs::current_span_name();
-      job->obs_region = region != nullptr ? region : "parallel_for";
+      const char* span = obs::current_span_name();
+      job->obs_region = obs::intern(
+          std::string(span != nullptr ? span : "parallel_for") + "/region");
     }
     {
       std::lock_guard<std::mutex> lk(mutex_);

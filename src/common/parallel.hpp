@@ -27,10 +27,10 @@
 //
 // Observability (src/obs): when tracing is enabled, each pool worker is
 // bound to trace track "worker-<k>" and every thread draining a dispatched
-// region opens a span named after the innermost span on the dispatching
-// thread, so fanned-out work attributes to the right worker and nests
-// under the region that spawned it. With tracing disabled the only cost
-// per dispatch is one relaxed atomic load.
+// region opens a span named "<span>/region" after the innermost span on
+// the dispatching thread, so fanned-out work attributes to the right
+// worker and nests under the region that spawned it. With tracing
+// disabled the only cost per dispatch is one relaxed atomic load.
 #pragma once
 
 #include <cstddef>

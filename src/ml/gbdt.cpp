@@ -207,29 +207,6 @@ void build_hist(const BinnedColumns& binned, const std::size_t* rows,
 
 }  // namespace
 
-float GradientBoostedTrees::Tree::predict(
-    std::span<const float> x) const noexcept {
-  std::int32_t i = 0;
-  while (nodes[static_cast<std::size_t>(i)].feature >= 0) {
-    const Node& n = nodes[static_cast<std::size_t>(i)];
-    i = x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                              : n.right;
-  }
-  return nodes[static_cast<std::size_t>(i)].value;
-}
-
-float GradientBoostedTrees::Tree::predict_binned(
-    const BinnedColumns& binned, std::size_t row) const noexcept {
-  std::int32_t i = 0;
-  while (nodes[static_cast<std::size_t>(i)].feature >= 0) {
-    const Node& n = nodes[static_cast<std::size_t>(i)];
-    const std::uint8_t c =
-        binned.column(static_cast<std::size_t>(n.feature))[row];
-    i = c <= n.code ? n.left : n.right;
-  }
-  return nodes[static_cast<std::size_t>(i)].value;
-}
-
 // Histogram buffers reused across one fit, all 2 * total_bins doubles wide.
 // The fit owns the pool, and buffers are handed out and taken back only in
 // build_tree's serial phases, so which buffer a node gets never depends on
@@ -255,12 +232,14 @@ class GradientBoostedTrees::HistPool {
   std::vector<std::vector<double>> free_;
 };
 
-GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
+GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     const BinnedColumns& binned, std::vector<std::size_t>& row_index,
     const std::vector<float>& grad, const std::vector<float>& hess,
     HistPool& pool, std::vector<LeafRange>& leaves) {
-  Tree tree;
-  tree.nodes.push_back({});
+  TreeRef tree;
+  tree.root = static_cast<std::int32_t>(nodes_.size());
+  nodes_.push_back({});
+  gains_.push_back(0.0);
   leaves.clear();
 
   // One frontier entry per tree node still growing. Children of one split
@@ -340,7 +319,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
   };
 
   std::vector<BuildNode> level(1);
-  level[0].node = 0;
+  level[0].node = tree.root;
   level[0].begin = 0;
   level[0].end = row_index.size();
 
@@ -358,7 +337,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       });
       for (BuildNode& bn : level) {
         const float value = leaf_value(bn.G, bn.H);
-        tree.nodes[static_cast<std::size_t>(bn.node)].value = value;
+        nodes_[static_cast<std::size_t>(bn.node)].value = value;
         leaves.push_back({bn.begin, bn.end, value});
         pool.release(bn.parent_hist);
       }
@@ -435,7 +414,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     for (std::size_t i = 0; i < level.size(); ++i) {
       BuildNode& bn = level[i];
       for (auto& buf : bn.scratch) pool.release(buf);
-      Node& node = tree.nodes[static_cast<std::size_t>(bn.node)];
+      Node& node = nodes_[static_cast<std::size_t>(bn.node)];
       if (bn.best_f < 0) {
         node.value = leaf_value(bn.G, bn.H);
         leaves.push_back({bn.begin, bn.end, node.value});
@@ -446,16 +425,15 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       // attribution charges value deltas along the root -> leaf walk.
       node.value = leaf_value(bn.G, bn.H);
       node.feature = bn.best_f;
-      node.code = bn.best_code;
       node.threshold =
           binner_.upper_edge(static_cast<std::size_t>(bn.best_f), bn.best_code);
-      node.gain = bn.best_gain;
-      const auto left_id = static_cast<std::int32_t>(tree.nodes.size());
+      const auto left_id = static_cast<std::int32_t>(nodes_.size());
       node.left = left_id;
-      node.right = left_id + 1;
-      // push_back may reallocate; `node` must not be touched after this.
-      tree.nodes.push_back({});
-      tree.nodes.push_back({});
+      gains_[static_cast<std::size_t>(bn.node)] = bn.best_gain;
+      tree.depth = static_cast<std::int32_t>(depth) + 1;
+      // Growing nodes_ may reallocate; `node` must not be touched after this.
+      nodes_.insert(nodes_.end(), 2, Node{});
+      gains_.insert(gains_.end(), 2, 0.0);
       BuildNode child_left, child_right;
       child_left.node = left_id;
       child_right.node = left_id + 1;
@@ -505,6 +483,8 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   const std::size_t n = train.size();
   const std::size_t d = train.features();
   features_ = d;
+  nodes_.clear();
+  gains_.clear();
   trees_.clear();
 
   const BinnedColumns binned = [&] {
@@ -562,7 +542,7 @@ void GradientBoostedTrees::fit(const Dataset& train) {
     }
     const std::size_t sampled = row_index.size();
 
-    Tree tree = build_tree(binned, row_index, grad, hess, pool, leaves);
+    trees_.push_back(build_tree(binned, row_index, grad, hess, pool, leaves));
     OBS_COUNT("gbdt.trees_built");
 
     // In-subsample rows: their leaf is known from partitioning, so the
@@ -575,40 +555,61 @@ void GradientBoostedTrees::fit(const Dataset& train) {
         }
       }
     });
-    // Out-of-subsample rows route through the tree on binned codes (uint8
-    // compares; identical routing to the float path by the binner's
-    // value <= upper_edge(c) <=> code <= c property).
+    // Out-of-subsample rows walk the new tree on their raw feature rows.
+    // That routes them exactly like the code partition above: the binner
+    // gives value <= upper_edge(c) <=> code <= c for every non-NaN value.
     if (sampled < n) {
       parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r) {
-          if (!in_sample[r]) score[r] += tree.predict_binned(binned, r);
+          if (in_sample[r]) continue;
+          const float* row = train.X.row(r).data();
+          add_trees(t, t + 1, &row, 1, &score[r]);
         }
       });
       for (std::size_t i = 0; i < sampled; ++i) in_sample[row_index[i]] = 0;
     }
-    trees_.push_back(std::move(tree));
+  }
+}
+
+void GradientBoostedTrees::add_trees(std::size_t t_begin, std::size_t t_end,
+                                     const float* const* rows, std::size_t n,
+                                     float* z) const noexcept {
+  std::int32_t at[kBlock] = {};
+  for (std::size_t t = t_begin; t < t_end; ++t) {
+    const TreeRef tree = trees_[t];
+    for (std::size_t k = 0; k < n; ++k) at[k] = tree.root;
+    for (std::int32_t d = 0; d < tree.depth; ++d) {
+      for (std::size_t k = 0; k < n; ++k) at[k] = step(at[k], rows[k]);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      z[k] += nodes_[static_cast<std::size_t>(at[k])].value;
+    }
   }
 }
 
 float GradientBoostedTrees::predict_proba(std::span<const float> x) const {
   REPRO_CHECK_MSG(x.size() == features_, "feature width mismatch");
   float z = base_score_;
-  for (const Tree& t : trees_) z += t.predict(x);
+  const float* row = x.data();
+  add_trees(0, trees_.size(), &row, 1, &z);
   return sigmoidf(z);
 }
 
 std::vector<float> GradientBoostedTrees::predict_proba_many(
     const Matrix& X) const {
   REPRO_CHECK_MSG(X.cols() == features_, "feature width mismatch");
+  OBS_SPAN("gbdt.predict");
+  OBS_COUNT_ADD("gbdt.predict_row_trees", X.rows() * trees_.size());
   std::vector<float> out(X.rows(), base_score_);
-  // Tree-outer within each row block keeps one tree's nodes hot across the
-  // block. Per row the accumulation order is still tree 0..T, identical to
-  // predict_proba, so both paths agree bitwise.
+  // Rows go through add_trees kBlock at a time. Per row the accumulation
+  // order is still tree 0..T, identical to predict_proba, so both paths
+  // agree bitwise.
   parallel_for(X.rows(), 256, [&](std::size_t begin, std::size_t end) {
-    for (const Tree& t : trees_) {
-      for (std::size_t r = begin; r < end; ++r) {
-        out[r] += t.predict(X.row(r));
-      }
+    const float* rows[kBlock] = {};
+    for (std::size_t b = begin; b < end; b += kBlock) {
+      const std::size_t m = std::min(kBlock, end - b);
+      for (std::size_t k = 0; k < m; ++k) rows[k] = X.row(b + k).data();
+      add_trees(0, trees_.size(), rows, m, out.data() + b);
     }
     for (std::size_t r = begin; r < end; ++r) out[r] = sigmoidf(out[r]);
   });
@@ -623,16 +624,14 @@ bool GradientBoostedTrees::explain(std::span<const float> x,
                   "contribution width mismatch");
   std::fill(contributions.begin(), contributions.end(), 0.0);
   double b = base_score_;
-  for (const Tree& t : trees_) {
-    std::int32_t i = 0;
-    b += t.nodes[0].value;
-    while (t.nodes[static_cast<std::size_t>(i)].feature >= 0) {
-      const Node& n = t.nodes[static_cast<std::size_t>(i)];
-      const std::int32_t next =
-          x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                : n.right;
+  for (const TreeRef& tree : trees_) {
+    std::int32_t i = tree.root;
+    b += nodes_[static_cast<std::size_t>(i)].value;
+    while (!nodes_[static_cast<std::size_t>(i)].leaf()) {
+      const Node& n = nodes_[static_cast<std::size_t>(i)];
+      const std::int32_t next = step(i, x.data());
       contributions[static_cast<std::size_t>(n.feature)] +=
-          static_cast<double>(t.nodes[static_cast<std::size_t>(next)].value) -
+          static_cast<double>(nodes_[static_cast<std::size_t>(next)].value) -
           static_cast<double>(n.value);
       i = next;
     }
@@ -643,9 +642,9 @@ bool GradientBoostedTrees::explain(std::span<const float> x,
 
 std::vector<double> GradientBoostedTrees::feature_importance() const {
   std::vector<double> imp(features_, 0.0);
-  for (const Tree& t : trees_) {
-    for (const Node& n : t.nodes) {
-      if (n.feature >= 0) imp[static_cast<std::size_t>(n.feature)] += n.gain;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_[i].leaf()) {
+      imp[static_cast<std::size_t>(nodes_[i].feature)] += gains_[i];
     }
   }
   return imp;
@@ -654,9 +653,15 @@ std::vector<double> GradientBoostedTrees::feature_importance() const {
 std::vector<std::pair<std::int32_t, float>> GradientBoostedTrees::tree_splits(
     std::size_t t) const {
   REPRO_CHECK(t < trees_.size());
+  const auto begin = static_cast<std::size_t>(trees_[t].root);
+  const std::size_t end = t + 1 < trees_.size()
+                              ? static_cast<std::size_t>(trees_[t + 1].root)
+                              : nodes_.size();
   std::vector<std::pair<std::int32_t, float>> out;
-  for (const Node& n : trees_[t].nodes) {
-    if (n.feature >= 0) out.emplace_back(n.feature, n.threshold);
+  for (std::size_t i = begin; i < end; ++i) {
+    if (!nodes_[i].leaf()) {
+      out.emplace_back(nodes_[i].feature, nodes_[i].threshold);
+    }
   }
   return out;
 }

@@ -21,8 +21,13 @@
 //   - split gain = 1/2 [GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)] - gamma;
 //   - leaf value = -G/(H+l) (one Newton step), scaled by the learning rate;
 //   - training scores update by leaf-indexed lookup for in-subsample rows
-//     (their leaf is known from partitioning) and by uint8 binned-code
-//     traversal for rows outside the subsample.
+//     (their leaf is known from partitioning) and by walking the raw
+//     feature rows for rows outside the subsample;
+//   - the fitted model is one flat node array: every tree's nodes sit in
+//     one contiguous vector with absolute child indices and the right
+//     child always at left + 1, so prediction, attribution, importance and
+//     the fit's score update all walk the same array with one branch-free
+//     step, a fixed number of times per tree (DESIGN.md §6b).
 //
 // Determinism: all histogram merges use the fixed-order chunked reduction
 // of common/parallel.hpp, sibling derivation is a pure function of the
@@ -133,25 +138,44 @@ class GradientBoostedTrees final : public Model {
       std::size_t t) const;
 
  private:
+  /// One node of the flat model. A split's children are adjacent: the
+  /// right child is always left + 1.
   struct Node {
-    std::int32_t feature = -1;   ///< -1 for leaves
-    float threshold = 0.0f;      ///< go left when value <= threshold
-    std::int32_t left = -1;
-    std::int32_t right = -1;
+    std::int32_t feature = 0;  ///< split feature; 0 on leaves (read, unused)
+    float threshold = 0.0f;    ///< go left when value <= threshold
+    std::int32_t left = -1;    ///< index of the left child; -1 on leaves
     /// Newton value of the node's sample set. Prediction output for
-    /// leaves; on split nodes it only feeds explain()'s path attribution
-    /// (predict never reads it there).
+    /// leaves; on split nodes it only feeds explain()'s path attribution.
     float value = 0.0f;
-    std::uint8_t code = 0;       ///< split bin: go left when code <= this
-    double gain = 0.0;           ///< split gain (for importance)
+    [[nodiscard]] bool leaf() const noexcept { return left < 0; }
   };
-  struct Tree {
-    std::vector<Node> nodes;
-    [[nodiscard]] float predict(std::span<const float> x) const noexcept;
-    /// Same routing as predict but over binned codes (uint8 compares).
-    [[nodiscard]] float predict_binned(const BinnedColumns& binned,
-                                       std::size_t row) const noexcept;
+  static_assert(sizeof(Node) == 16);
+  /// A tree's root in nodes_ and the split count on its deepest path.
+  struct TreeRef {
+    std::int32_t root = 0;
+    std::int32_t depth = 0;
   };
+  /// Rows that step through a tree together in add_trees.
+  static constexpr std::size_t kBlock = 16;
+
+  /// One step of the walk: a split sends x to left or left + 1, a leaf
+  /// keeps its own index. No data-dependent branch.
+  [[nodiscard]] std::int32_t step(std::int32_t i,
+                                  const float* x) const noexcept {
+    const Node& n = nodes_[static_cast<std::size_t>(i)];
+    const std::int32_t next =
+        n.left + !(x[static_cast<std::size_t>(n.feature)] <= n.threshold);
+    const std::int32_t leaf = n.left >> 31;  // all ones on a leaf
+    return (i & leaf) | (next & ~leaf);
+  }
+
+  /// Adds the leaf value of trees [t_begin, t_end), in tree order, to z[k]
+  /// for each row rows[k], k < n <= kBlock. Each tree is walked for exactly
+  /// its depth with all n rows stepping together.
+  void add_trees(std::size_t t_begin, std::size_t t_end,
+                 const float* const* rows, std::size_t n,
+                 float* z) const noexcept;
+
   /// A fitted leaf's contiguous slice of the shared row-index buffer.
   struct LeafRange {
     std::size_t begin = 0, end = 0;
@@ -161,16 +185,19 @@ class GradientBoostedTrees final : public Model {
   /// Histogram buffers reused across the trees of one fit.
   class HistPool;
 
-  Tree build_tree(const BinnedColumns& binned,
-                  std::vector<std::size_t>& row_index,
-                  const std::vector<float>& grad,
-                  const std::vector<float>& hess, HistPool& pool,
-                  std::vector<LeafRange>& leaves);
+  /// Grows one tree onto the end of nodes_ and returns it.
+  TreeRef build_tree(const BinnedColumns& binned,
+                     std::vector<std::size_t>& row_index,
+                     const std::vector<float>& grad,
+                     const std::vector<float>& hess, HistPool& pool,
+                     std::vector<LeafRange>& leaves);
 
   Params params_;
   Rng rng_;
   FeatureBinner binner_;
-  std::vector<Tree> trees_;
+  std::vector<Node> nodes_;    ///< every tree's nodes, tree after tree
+  std::vector<double> gains_;  ///< split gain per node (0 on leaves)
+  std::vector<TreeRef> trees_;
   float base_score_ = 0.0f;  ///< prior log-odds
   std::size_t features_ = 0;
 };

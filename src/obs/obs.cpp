@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <set>
 
 namespace repro::obs {
 
@@ -59,6 +60,7 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Timer>> timers;
+  std::set<std::string> names;  // intern()ed display names
   std::vector<std::shared_ptr<ThreadBuf>> bufs;
   std::uint64_t next_generic_tid = 1000;
   bool main_claimed = false;
@@ -251,6 +253,12 @@ void Span::finish() noexcept {
 
 const char* current_span_name() noexcept {
   return tl_spans.depth == 0 ? nullptr : tl_spans.names[tl_spans.depth - 1];
+}
+
+const char* intern(const std::string& name) {
+  Registry& reg = Registry::instance();
+  std::lock_guard<std::mutex> lk(reg.mu);
+  return reg.names.insert(name).first->c_str();
 }
 
 void bind_worker(std::uint64_t worker_tid) {

@@ -25,9 +25,11 @@
 //
 // Thread attribution: the deterministic pool (common/parallel) binds each
 // worker to track "worker-<k>" via bind_worker(); when a parallel region
-// is dispatched, every participating thread opens a span named after the
-// innermost span active on the dispatching thread, so work fanned across
-// workers nests under the region that spawned it in the trace view.
+// is dispatched, every participating thread opens a span named
+// "<span>/region" after the innermost span active on the dispatching
+// thread, so work fanned across workers nests under the region that
+// spawned it in the trace view, and summing a trace by name does not count
+// the parent span's time twice.
 //
 // Determinism contract: with tracing disabled nothing in this layer
 // perturbs any computation, and with it enabled only wall-clock values
@@ -182,8 +184,12 @@ class Span {
 };
 
 /// Name of the innermost recording span on this thread, or nullptr.
-/// common/parallel labels worker-side region spans with it.
+/// common/parallel names its region spans after it.
 const char* current_span_name() noexcept;
+
+/// A registry-owned copy of `name`, valid for the process lifetime; equal
+/// names give the same pointer. For span display names built at runtime.
+const char* intern(const std::string& name);
 
 /// Binds the calling thread to trace track `worker_tid` with the name
 /// "worker-<worker_tid>". Called once per pool worker at spawn; threads

@@ -5,6 +5,7 @@
 // thread-count invariance of the prediction log).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -468,6 +469,13 @@ TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
   const auto at1 = run(1);
   const auto at4 = run(4);
   EXPECT_FALSE(gauges_of(obs::snapshot()).empty());
+  // Predict throughput (rows x trees) is among the compared counters.
+  const auto row_trees =
+      std::find_if(at1.begin(), at1.end(), [](const auto& m) {
+        return m.first == "gbdt.predict_row_trees";
+      });
+  ASSERT_NE(row_trees, at1.end());
+  EXPECT_GT(row_trees->second, 0.0);
   EXPECT_EQ(at1, at4);
 }
 

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -103,9 +104,10 @@ TEST(FeatureBinner, AllDuplicateValuesCollapseToFewBins) {
 }
 
 TEST(FeatureBinner, EdgeRoundTripMatchesTreePredictConvention) {
-  // Tree::predict routes x[f] <= threshold to the left child, where
-  // threshold == upper_edge(best_code). So a value equal to an edge must
-  // code into that edge's bin, and anything strictly above must not.
+  // The tree walk routes x[f] <= threshold to the left child, where
+  // threshold == upper_edge(best_code), while the fit partitions rows on
+  // code <= best_code. So a value equal to an edge must code into that
+  // edge's bin, and anything strictly above must not.
   Matrix X = random_matrix(5'000, 1, 17);
   FeatureBinner binner;
   binner.fit(X, 32);
@@ -622,24 +624,93 @@ TEST(Gbdt, TinyWindowWithoutMinChildHessianMatchesNaive) {
   EXPECT_EQ(fit.unsplittable, 0u);
 }
 
-// FNV-1a over the bit patterns of every prediction and split.
-std::uint64_t fit_hash(const FitResult& fit) {
+// FNV-1a over 32-bit words.
+struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint32_t word) {
+  void mix(std::uint32_t word) {
     for (int b = 0; b < 4; ++b) {
       h ^= (word >> (8 * b)) & 0xffu;
       h *= 1099511628211ull;
     }
-  };
+  }
+  void mix(float v) { mix(std::bit_cast<std::uint32_t>(v)); }
+};
+
+// FNV-1a over the bit patterns of every prediction and split.
+std::uint64_t fit_hash(const FitResult& fit) {
+  Fnv fnv;
   for (const auto& tree : fit.splits) {
-    mix(static_cast<std::uint32_t>(tree.size()));
+    fnv.mix(static_cast<std::uint32_t>(tree.size()));
     for (const auto& [feature, threshold] : tree) {
-      mix(static_cast<std::uint32_t>(feature));
-      mix(std::bit_cast<std::uint32_t>(threshold));
+      fnv.mix(static_cast<std::uint32_t>(feature));
+      fnv.mix(threshold);
     }
   }
-  for (const float p : fit.probs) mix(std::bit_cast<std::uint32_t>(p));
-  return h;
+  for (const float p : fit.probs) fnv.mix(p);
+  return fnv.h;
+}
+
+// 700 rows aimed at the tree walk's edge cases: a quarter of the cells are
+// NaN or +/-inf, the rest are split thresholds of the model or their float
+// neighbours, so every comparison lands exactly on, just below or just
+// above a threshold.
+Matrix walk_probe(const GradientBoostedTrees& gbdt, std::size_t features,
+                  std::uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> special = {std::numeric_limits<float>::quiet_NaN(),
+                                      -inf, inf};
+  std::vector<std::vector<float>> near(features);
+  for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
+    for (const auto& [f, threshold] : gbdt.tree_splits(t)) {
+      auto& values = near[static_cast<std::size_t>(f)];
+      values.push_back(std::nextafter(threshold, -inf));
+      values.push_back(threshold);
+      values.push_back(std::nextafter(threshold, inf));
+    }
+  }
+  Matrix X(700, features);
+  Rng rng(seed);
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    for (std::size_t f = 0; f < features; ++f) {
+      const auto& pool =
+          near[f].empty() || rng.bernoulli(0.25) ? special : near[f];
+      X.at(r, f) = pool[rng.uniform_index(pool.size())];
+    }
+  }
+  return X;
+}
+
+// Hash of the probe's scores through predict_proba_many on the probe's
+// leading 1, 255, 256, 257 and 700 rows, so 256-row chunks and 16-row walk
+// blocks end both whole and partial, and through per-row predict_proba,
+// which must agree bitwise.
+std::uint64_t probe_hash(const GradientBoostedTrees& gbdt, const Matrix& probe) {
+  Fnv fnv;
+  for (const std::size_t rows : {1, 255, 256, 257, 700}) {
+    Matrix X(rows, probe.cols());
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(probe.row(r).begin(), probe.cols(), X.row(r).begin());
+    }
+    const std::vector<float> many = gbdt.predict_proba_many(X);
+    EXPECT_EQ(many.size(), rows);
+    for (std::size_t r = 0; r < many.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(many[r]),
+                std::bit_cast<std::uint32_t>(gbdt.predict_proba(X.row(r))))
+          << "batch " << rows << " row " << r;
+      fnv.mix(many[r]);
+    }
+  }
+  for (std::size_t r = 0; r < probe.rows(); ++r) {
+    fnv.mix(gbdt.predict_proba(probe.row(r)));
+  }
+  return fnv.h;
+}
+
+GradientBoostedTrees fit_model(const Dataset& d,
+                               const GradientBoostedTrees::Params& params) {
+  GradientBoostedTrees gbdt(params, 5);
+  gbdt.fit(d);
+  return gbdt;
 }
 
 TEST(Gbdt, GoldenPredictionHash) {
@@ -648,6 +719,8 @@ TEST(Gbdt, GoldenPredictionHash) {
   // exact. One tiny-window fit (mostly skipped nodes) and one fit large
   // enough for multi-chunk histogram builds and out-of-subsample updates.
   // A deliberate change to the model's arithmetic must re-pin these.
+  // The walk-probe hashes were pinned against the per-tree pointer walk
+  // that the flat node array replaced.
   const Dataset tiny = tiny_window(71);
   auto tiny_params = tiny_window_params();
   tiny_params.subsample = 0.9;
@@ -665,6 +738,21 @@ TEST(Gbdt, GoldenPredictionHash) {
   large_params.min_child_hessian = 4.0;
   EXPECT_EQ(fit_hash(fit_once(large, large_params, 1)), 0x5ebb1904e29f352eull);
   EXPECT_EQ(fit_hash(fit_once(large, large_params, 4)), 0x5ebb1904e29f352eull);
+
+  // Walk probe: NaN, infinities and every threshold with its neighbours,
+  // scored in and around whole row blocks. The leaf-only model (depth 0)
+  // has no split to walk.
+  const auto probe_of = [](const Dataset& d,
+                           const GradientBoostedTrees::Params& params,
+                           std::uint64_t seed) {
+    const GradientBoostedTrees gbdt = fit_model(d, params);
+    return probe_hash(gbdt, walk_probe(gbdt, d.features(), seed));
+  };
+  EXPECT_EQ(probe_of(tiny, tiny_params, 91), 0xe24c79d319fe599dull);
+  EXPECT_EQ(probe_of(large, large_params, 92), 0xc6d77095f8b68ecbull);
+  auto stump_params = large_params;
+  stump_params.max_depth = 0;
+  EXPECT_EQ(probe_of(large, stump_params, 93), 0x7b43d511bd5fe754ull);
 }
 
 }  // namespace
