@@ -37,6 +37,15 @@ void Dataset::validate() const {
   REPRO_CHECK_MSG(feature_names.empty() || feature_names.size() == X.cols(),
                   "feature names width mismatch");
   for (const Label l : y) REPRO_CHECK_MSG(l <= 1, "labels must be 0/1");
+  // A NaN would break the binner's sort and route one way in the binned fit
+  // and the other in the tree walk; every model refuses non-finite input.
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    const auto row = X.row(r);
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      REPRO_CHECK_MSG(std::isfinite(row[f]),
+                      "non-finite feature " << f << " in row " << r);
+    }
+  }
 }
 
 Dataset undersample_majority(const Dataset& d, double ratio, Rng& rng) {

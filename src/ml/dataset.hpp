@@ -32,7 +32,8 @@ struct Dataset {
   /// New dataset with the given rows (indices may repeat).
   [[nodiscard]] Dataset select(const std::vector<std::size_t>& idx) const;
 
-  /// Consistency check: X/y sizes agree, names match width (or are empty).
+  /// Consistency check: X/y sizes agree, names match width (or are empty),
+  /// labels are 0/1 and every feature value is finite.
   void validate() const;
 };
 

@@ -1,6 +1,8 @@
 #include "ml/gbdt.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -152,25 +154,72 @@ void node_sums(const std::size_t* rows, std::size_t count, const float* grad,
   }
 }
 
-// Accumulates the gradient/hessian histogram of rows[0, count) into `hist`
-// (interleaved: hist[2b] = sum g, hist[2b+1] = sum h over packed bin b).
-// Feature-outer: each splittable feature's packed slice stays cache-resident
-// while its code column is gathered in ascending row order (partitioning is
-// stable, so every node's slice of the row-index buffer stays sorted).
-void accumulate_hist(const BinnedColumns& binned, const std::size_t* rows,
-                     std::size_t count, const float* grad, const float* hess,
-                     double* hist) {
-  for (std::size_t f = 0; f < binned.features; ++f) {
-    if (binned.offsets[f + 1] == binned.offsets[f]) continue;
-    const std::uint8_t* col = binned.column(f);
-    double* slice = hist + 2 * binned.offsets[f];
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t r = rows[i];
-      double* cell = slice + 2 * col[r];
-      cell[0] += grad[r];
-      cell[1] += hess[r];
+// One row's gradient and hessian, widened to double: a build gathers its
+// rows' pairs once, in row order, so the per-feature passes read them
+// sequentially instead of through rows[i] (LightGBM's ordered gradients).
+struct GradPair {
+  double g, h;
+};
+
+// Adds rows[0, count) to K features' histogram slices in one pass over the
+// rows. Each cell still sums its rows in ascending row order, exactly as a
+// pass per feature would (partitioning is stable, so every node's slice of
+// the row-index buffer stays sorted).
+template <std::size_t K>
+void accumulate_features(std::array<const std::uint8_t*, K> cols,
+                         std::array<double*, K> slices,
+                         const std::size_t* rows, const GradPair* gh,
+                         std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t r = rows[i];
+    const GradPair p = gh[i];
+    for (std::size_t k = 0; k < K; ++k) {
+      double* cell = slices[k] + 2 * cols[k][r];
+      cell[0] += p.g;
+      cell[1] += p.h;
     }
   }
+}
+
+// Accumulates the gradient/hessian histogram of rows[0, count), whose pairs
+// are gh[0, count), into `hist` (interleaved: hist[2b] = sum g, hist[2b+1]
+// = sum h over packed bin b): four splittable features per pass over the
+// rows, each feature's packed slice cache-resident while it fills, and any
+// last one to three features a pass each.
+void accumulate_hist(const BinnedColumns& binned, const std::size_t* rows,
+                     const GradPair* gh, std::size_t count, double* hist) {
+  constexpr std::size_t kPass = 4;
+  std::array<const std::uint8_t*, kPass> cols{};
+  std::array<double*, kPass> slices{};
+  std::size_t k = 0;
+  for (std::size_t f = 0; f < binned.features; ++f) {
+    if (binned.offsets[f + 1] == binned.offsets[f]) continue;
+    cols[k] = binned.column(f);
+    slices[k] = hist + 2 * binned.offsets[f];
+    if (++k == kPass) {
+      accumulate_features<kPass>(cols, slices, rows, gh, count);
+      k = 0;
+    }
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    accumulate_features<1>({cols[j]}, {slices[j]}, rows, gh, count);
+  }
+}
+
+// Gathers the (g, h) of rows[begin, end) into gh[begin, end) and adds them
+// to `out`. Returns whether any gathered hessian has its sign bit set.
+bool gather_and_accumulate(const BinnedColumns& binned, const std::size_t* rows,
+                           std::size_t begin, std::size_t end,
+                           const float* grad, const float* hess, GradPair* gh,
+                           double* out) {
+  std::uint32_t sign = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t r = rows[i];
+    gh[i] = {grad[r], hess[r]};
+    sign |= std::bit_cast<std::uint32_t>(hess[r]);
+  }
+  accumulate_hist(binned, rows + begin, gh + begin, end - begin, out);
+  return (sign >> 31) != 0;
 }
 
 // Full histogram of rows[0, count): chunked over rows with per-chunk
@@ -178,42 +227,61 @@ void accumulate_hist(const BinnedColumns& binned, const std::size_t* rows,
 // sums are bit-identical for any thread count. Chunk 0 accumulates straight
 // into `hist`; chunk c > 0 into scratch[c - 1] (one buffer of hist's width
 // per chunk after the first). A cell summed from +0.0 is never -0.0, so this
-// equals merging every partial into a zeroed histogram.
-void build_hist(const BinnedColumns& binned, const std::size_t* rows,
+// equals merging every partial into a zeroed histogram. `gh` is the rows'
+// slot of the fit's ordered-pair buffer. Returns whether any hessian of the
+// rows has its sign bit set (then a cell may be negative).
+bool build_hist(const BinnedColumns& binned, const std::size_t* rows,
                 std::size_t count, const float* grad, const float* hess,
-                std::vector<double>& hist,
+                GradPair* gh, std::vector<double>& hist,
                 std::vector<std::vector<double>>& scratch) {
   std::fill(hist.begin(), hist.end(), 0.0);
-  if (count == 0) return;
+  if (count == 0) return false;
   OBS_COUNT("gbdt.hist_builds");
   const std::size_t grain = hist_grain(count);
   const std::size_t nchunks = chunk_count(count, grain);
   if (nchunks == 1) {
-    accumulate_hist(binned, rows, count, grad, hess, hist.data());
-    return;
+    return gather_and_accumulate(binned, rows, 0, count, grad, hess, gh,
+                                 hist.data());
   }
+  std::array<bool, kMaxHistChunks> negative{};
   parallel_for_chunks(
       count, grain, [&](std::size_t c, std::size_t c_begin, std::size_t c_end) {
         std::vector<double>& out = c == 0 ? hist : scratch[c - 1];
         if (c > 0) std::fill(out.begin(), out.end(), 0.0);
-        accumulate_hist(binned, rows + c_begin, c_end - c_begin, grad, hess,
-                        out.data());
+        negative[c] = gather_and_accumulate(binned, rows, c_begin, c_end, grad,
+                                            hess, gh, out.data());
       });
   for (std::size_t c = 1; c < nchunks; ++c) {
     const std::vector<double>& part = scratch[c - 1];
     for (std::size_t i = 0; i < hist.size(); ++i) hist[i] += part[i];
   }
+  return std::find(negative.begin(), negative.end(), true) != negative.end();
+}
+
+// hist -= other over interleaved (g, h) cells. Returns whether any h cell
+// of the result has its sign bit set.
+bool subtract_hist(std::vector<double>& hist, const std::vector<double>& other) {
+  std::uint64_t sign = 0;
+  for (std::size_t i = 0; i < hist.size(); i += 2) {
+    hist[i] -= other[i];
+    hist[i + 1] -= other[i + 1];
+    sign |= std::bit_cast<std::uint64_t>(hist[i + 1]);
+  }
+  return (sign >> 63) != 0;
 }
 
 }  // namespace
 
-// Histogram buffers reused across one fit, all 2 * total_bins doubles wide.
-// The fit owns the pool, and buffers are handed out and taken back only in
-// build_tree's serial phases, so which buffer a node gets never depends on
-// scheduling (and its contents never matter: every build zeroes it first).
-class GradientBoostedTrees::HistPool {
+// Buffers reused across one fit. Histogram buffers, all 2 * total_bins
+// doubles wide, are handed out and taken back only in build_tree's serial
+// phases, so which buffer a node gets never depends on scheduling (and its
+// contents never matter: every build zeroes it first). `ordered` holds each
+// build's gathered (g, h) at its rows' positions in the row-index buffer,
+// so concurrent builds write disjoint node ranges of it.
+class GradientBoostedTrees::FitBuffers {
  public:
-  explicit HistPool(std::size_t width) : width_(width) {}
+  FitBuffers(std::size_t width, std::size_t rows)
+      : ordered(rows), width_(width) {}
 
   std::vector<double> acquire() {
     if (free_.empty()) return std::vector<double>(width_);
@@ -227,6 +295,8 @@ class GradientBoostedTrees::HistPool {
     buf = {};
   }
 
+  std::vector<GradPair> ordered;
+
  private:
   std::size_t width_;
   std::vector<std::vector<double>> free_;
@@ -235,7 +305,7 @@ class GradientBoostedTrees::HistPool {
 GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     const BinnedColumns& binned, std::vector<std::size_t>& row_index,
     const std::vector<float>& grad, const std::vector<float>& hess,
-    HistPool& pool, std::vector<LeafRange>& leaves) {
+    FitBuffers& pool, std::vector<LeafRange>& leaves) {
   TreeRef tree;
   tree.root = static_cast<std::int32_t>(nodes_.size());
   nodes_.push_back({});
@@ -250,6 +320,7 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     std::size_t begin = 0, end = 0;      // range in row_index
     double G = 0.0, H = 0.0;
     bool splittable = false;             // H can feed two children
+    bool negative_h = false;             // an h cell may be negative
     std::vector<double> hist;            // interleaved (g, h) per packed bin
     std::vector<std::vector<double>> scratch;  // chunk partials of a build
     std::vector<double> parent_hist;     // left child of a pair only
@@ -279,8 +350,17 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     for (auto& buf : bn.scratch) buf = pool.acquire();
   };
   const auto build = [&](BuildNode& bn) {
-    build_hist(binned, row_index.data() + bn.begin, bn.end - bn.begin,
-               grad.data(), hess.data(), bn.hist, bn.scratch);
+    bn.negative_h = build_hist(binned, row_index.data() + bn.begin,
+                               bn.end - bn.begin, grad.data(), hess.data(),
+                               pool.ordered.data() + bn.begin, bn.hist,
+                               bn.scratch);
+    if (bn.negative_h) OBS_COUNT("gbdt.hist_negative_h");
+  };
+  // The larger child of a pair: parent - smaller, cell by cell.
+  const auto derive = [&](BuildNode& large, const BuildNode& small) {
+    large.negative_h = subtract_hist(large.hist, small.hist);
+    OBS_COUNT("gbdt.hist_subtractions");
+    if (large.negative_h) OBS_COUNT("gbdt.hist_negative_h");
   };
   // (smaller, larger) of a sibling pair; the left child on a tie.
   const auto by_size =
@@ -291,31 +371,55 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
 
   // Finds the best split of one frontier node from its packed histogram.
   // Serial per node with fixed (feature, bin) scan order and strict
-  // improvement, so ties break identically for any thread count.
+  // improvement, so ties break identically for any thread count. Per
+  // feature the scan is bounded without changing its result:
+  //   - the prefix with HL < mch holds no candidate, so it only sums;
+  //   - with every h cell >= 0, HL never falls and HR never rises along
+  //     the scan, so once HR < mch no later candidate can split and the
+  //     scan stops. A histogram with a negative h cell (a derived one can
+  //     round below zero) scans to its end.
+  // The gain's two divisions share one two-lane divide, and the running
+  // best takes a candidate only on strict improvement over the node's best
+  // so far, exactly as the one-candidate-at-a-time scan did.
+  using Lanes = double __attribute__((vector_size(16)));
   const auto find_best_split = [&](BuildNode& bn) {
-    const double parent_obj = bn.G * bn.G / (bn.H + lambda);
-    bn.best_gain = params_.gamma;
+    OBS_SPAN("gbdt.split");
+    const double G = bn.G, H = bn.H;
+    const double parent_obj = G * G / (H + lambda);
+    const bool may_stop = !bn.negative_h;
+    double best = params_.gamma;
     bn.best_f = -1;
     for (std::size_t f = 0; f < binned.features; ++f) {
       const std::size_t width = binned.offsets[f + 1] - binned.offsets[f];
       if (width < 2) continue;
       const double* slice = bn.hist.data() + 2 * binned.offsets[f];
-      double GL = 0.0, HL = 0.0;
-      for (std::size_t c = 0; c + 1 < width; ++c) {
+      // Candidate c sends bins [0, c] left; GL and HL sum exactly those.
+      const std::size_t last = width - 1;
+      std::size_t c = 0;
+      double GL = slice[0], HL = slice[1];
+      while (HL < mch && ++c < last) {
         GL += slice[2 * c];
         HL += slice[2 * c + 1];
-        const double HR = bn.H - HL;
-        if (HL < mch || HR < mch) continue;
-        const double GR = bn.G - GL;
-        const double gain = 0.5 * (GL * GL / (HL + lambda) +
-                                   GR * GR / (HR + lambda) - parent_obj);
-        if (gain > bn.best_gain) {
-          bn.best_gain = gain;
-          bn.best_f = static_cast<std::int32_t>(f);
-          bn.best_code = static_cast<std::uint8_t>(c);
-        }
+      }
+      std::size_t best_c = last;  // none yet
+      for (; c < last; ++c) {
+        const double HR = H - HL;
+        if (may_stop && HR < mch) break;
+        const double GR = G - GL;
+        const Lanes q = Lanes{GL * GL, GR * GR} / Lanes{HL + lambda, HR + lambda};
+        const double gain = 0.5 * (q[0] + q[1] - parent_obj);
+        const bool take = !(HL < mch) & !(HR < mch) & (gain > best);
+        best = take ? gain : best;
+        best_c = take ? c : best_c;
+        GL += slice[2 * (c + 1)];
+        HL += slice[2 * (c + 1) + 1];
+      }
+      if (best_c != last) {
+        bn.best_f = static_cast<std::int32_t>(f);
+        bn.best_code = static_cast<std::uint8_t>(best_c);
       }
     }
+    bn.best_gain = best;
   };
 
   std::vector<BuildNode> level(1);
@@ -384,7 +488,10 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     // unchanged chunk grids, so results do not depend on the fan-out.
     if (depth == 0) {
       if (level[0].splittable) {
-        build(level[0]);
+        {
+          OBS_SPAN("gbdt.hist");
+          build(level[0]);
+        }
         find_best_split(level[0]);
       }
     } else {
@@ -392,14 +499,12 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
         for (std::size_t p = p_begin; p < p_end; ++p) {
           auto [small, large] = by_size(level[2 * p], level[2 * p + 1]);
           if (!small.splittable && !large.splittable) continue;
-          build(small);
-          if (large.splittable) {
-            for (std::size_t i = 0; i < large.hist.size(); ++i) {
-              large.hist[i] -= small.hist[i];
-            }
-            OBS_COUNT("gbdt.hist_subtractions");
-            find_best_split(large);
+          {
+            OBS_SPAN("gbdt.hist");
+            build(small);
+            if (large.splittable) derive(large, small);
           }
+          if (large.splittable) find_best_split(large);
           if (small.splittable) find_best_split(small);
         }
       });
@@ -448,6 +553,7 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     // Phase 3 — in-place stable partition of each splitting node's slice of
     // the shared index buffer. Slices are disjoint and order within each
     // side is preserved.
+    OBS_SPAN("gbdt.partition");
     parallel_for(splitting.size(), 1, [&](std::size_t b, std::size_t e) {
       for (std::size_t k = b; k < e; ++k) {
         const BuildNode& bn = level[splitting[k]];
@@ -509,19 +615,22 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   row_index.reserve(n);
   std::vector<std::uint8_t> in_sample(n, 0);
   std::vector<LeafRange> leaves;
-  HistPool pool(2 * binned.total_bins());
+  FitBuffers pool(2 * binned.total_bins(), n);
 
   for (std::size_t t = 0; t < params_.trees; ++t) {
     // Per-row gradients/hessians: disjoint writes, no accumulation.
-    parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        const float p = sigmoidf(score[r]);
-        const float w =
-            train.y[r] ? static_cast<float>(params_.pos_weight) : 1.0f;
-        grad[r] = w * (p - static_cast<float>(train.y[r]));
-        hess[r] = w * p * (1.0f - p);
-      }
-    });
+    {
+      OBS_SPAN("gbdt.grad");
+      parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          const float p = sigmoidf(score[r]);
+          const float w =
+              train.y[r] ? static_cast<float>(params_.pos_weight) : 1.0f;
+          grad[r] = w * (p - static_cast<float>(train.y[r]));
+          hess[r] = w * p * (1.0f - p);
+        }
+      });
+    }
     // Subsampling consumes the model's single Rng stream, so it must stay
     // serial: the draw sequence is part of the deterministic state.
     row_index.clear();
@@ -545,6 +654,7 @@ void GradientBoostedTrees::fit(const Dataset& train) {
     trees_.push_back(build_tree(binned, row_index, grad, hess, pool, leaves));
     OBS_COUNT("gbdt.trees_built");
 
+    OBS_SPAN("gbdt.update");
     // In-subsample rows: their leaf is known from partitioning, so the
     // update is an indexed lookup. Leaf ranges are disjoint slices.
     parallel_for(leaves.size(), 1, [&](std::size_t b, std::size_t e) {
@@ -555,16 +665,29 @@ void GradientBoostedTrees::fit(const Dataset& train) {
         }
       }
     });
-    // Out-of-subsample rows walk the new tree on their raw feature rows.
-    // That routes them exactly like the code partition above: the binner
-    // gives value <= upper_edge(c) <=> code <= c for every non-NaN value.
+    // Out-of-subsample rows walk the new tree on their raw feature rows,
+    // kBlock rows at a time. That routes them exactly like the code
+    // partition above: the binner gives value <= upper_edge(c) <=> code <= c
+    // for every (finite) training value.
     if (sampled < n) {
       parallel_for(n, 4096, [&](std::size_t begin, std::size_t end) {
+        const float* rows[kBlock] = {};
+        std::size_t at[kBlock] = {};
+        float z[kBlock] = {};
+        std::size_t m = 0;
+        const auto flush = [&] {
+          add_trees(t, t + 1, rows, m, z);
+          for (std::size_t k = 0; k < m; ++k) score[at[k]] = z[k];
+          m = 0;
+        };
         for (std::size_t r = begin; r < end; ++r) {
           if (in_sample[r]) continue;
-          const float* row = train.X.row(r).data();
-          add_trees(t, t + 1, &row, 1, &score[r]);
+          rows[m] = train.X.row(r).data();
+          at[m] = r;
+          z[m] = score[r];
+          if (++m == kBlock) flush();
         }
+        flush();
       });
       for (std::size_t i = 0; i < sampled; ++i) in_sample[row_index[i]] = 0;
     }

@@ -14,6 +14,15 @@
 //     every candidate split; only the smaller child of a split builds its
 //     histogram from rows — the sibling is derived by subtracting it from
 //     the cached parent histogram, halving per-level histogram work;
+//   - a build first gathers its rows' (g, h) into a contiguous buffer of
+//     double pairs (ordered gradients), then fills four features'
+//     histogram slices per pass over the rows, each cell still summing its
+//     rows in ascending row order;
+//   - the split scan sums the prefix of bins with HL < min_child_hessian
+//     without computing gains, scores candidates with one two-lane divide
+//     and a branch-free running best, and stops at the first candidate with
+//     HR < min_child_hessian unless the histogram has a negative hessian
+//     cell (a derived histogram can round below zero) — all exact;
 //   - a node's G/H is summed before any histogram work, and a node with
 //     H < 2 * min_child_hessian (no split can give both children enough
 //     hessian) becomes a leaf with no histogram build or scan at all;
@@ -182,14 +191,15 @@ class GradientBoostedTrees final : public Model {
     float value = 0.0f;
   };
 
-  /// Histogram buffers reused across the trees of one fit.
-  class HistPool;
+  /// Histogram and ordered-gradient buffers reused across the trees of
+  /// one fit.
+  class FitBuffers;
 
   /// Grows one tree onto the end of nodes_ and returns it.
   TreeRef build_tree(const BinnedColumns& binned,
                      std::vector<std::size_t>& row_index,
                      const std::vector<float>& grad,
-                     const std::vector<float>& hess, HistPool& pool,
+                     const std::vector<float>& hess, FitBuffers& pool,
                      std::vector<LeafRange>& leaves);
 
   Params params_;

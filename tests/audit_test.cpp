@@ -448,7 +448,9 @@ TEST_F(AuditTest, PredictorWritesNoGaugesAndPublishWritesTheRun) {
 TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
   // Sweep cells run concurrently; the audit gauges must still come from one
   // fixed cell, so the whole snapshot (minus wall-clock seconds and the
-  // pool's region-span call counts) matches across thread counts.
+  // pool's region-span call counts) matches across thread counts. The GBDT
+  // fit's spans open once per tree, build, scan or level, never per
+  // chunk, so their call counts match too.
   const sim::Trace& trace = shared_tiny_trace();
   const auto splits = core::SplitSpec::sliding(30, 15, 7, 4, 2);
   const std::vector<ml::ModelKind> models = {
@@ -460,7 +462,8 @@ TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
     (void)core::two_stage_sweep(trace, splits, models, {});
     std::vector<std::pair<std::string, double>> kept;
     for (const obs::Metric& m : obs::snapshot()) {
-      if (!m.key.ends_with("_seconds") && !m.key.ends_with("_calls")) {
+      if (!m.key.ends_with("_seconds") &&
+          (!m.key.ends_with("_calls") || m.key.starts_with("gbdt."))) {
         kept.emplace_back(m.key, m.value);
       }
     }
@@ -476,6 +479,14 @@ TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
       });
   ASSERT_NE(row_trees, at1.end());
   EXPECT_GT(row_trees->second, 0.0);
+  for (const char* span : {"gbdt.grad", "gbdt.hist", "gbdt.split",
+                           "gbdt.partition", "gbdt.update"}) {
+    const std::string key = std::string(span) + "_calls";
+    const auto calls = std::find_if(at1.begin(), at1.end(),
+                                    [&](const auto& m) { return m.first == key; });
+    ASSERT_NE(calls, at1.end()) << key;
+    EXPECT_GT(calls->second, 0.0) << key;
+  }
   EXPECT_EQ(at1, at4);
 }
 

@@ -556,6 +556,7 @@ struct FitResult {
   std::vector<std::vector<std::pair<std::int32_t, float>>> splits;
   std::vector<float> probs;
   std::uint64_t unsplittable = 0;  ///< gbdt.nodes_unsplittable delta
+  std::uint64_t negative_h = 0;    ///< gbdt.hist_negative_h delta
 };
 
 FitResult fit_once(const Dataset& d, const GradientBoostedTrees::Params& params,
@@ -563,13 +564,16 @@ FitResult fit_once(const Dataset& d, const GradientBoostedTrees::Params& params,
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   obs::Counter& skipped = obs::counter("gbdt.nodes_unsplittable");
-  const std::uint64_t before = skipped.value();
+  obs::Counter& negative = obs::counter("gbdt.hist_negative_h");
+  const std::uint64_t skipped_before = skipped.value();
+  const std::uint64_t negative_before = negative.value();
   set_parallel_threads(threads);
   GradientBoostedTrees gbdt(params, 5);
   gbdt.fit(d);
   set_parallel_threads(1);
   FitResult out;
-  out.unsplittable = skipped.value() - before;
+  out.unsplittable = skipped.value() - skipped_before;
+  out.negative_h = negative.value() - negative_before;
   obs::set_enabled(was_enabled);
   for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
     out.splits.push_back(gbdt.tree_splits(t));
@@ -706,6 +710,23 @@ std::uint64_t probe_hash(const GradientBoostedTrees& gbdt, const Matrix& probe) 
   return fnv.h;
 }
 
+// Linearly separable: every fourth feature (x0 included) takes six levels,
+// and y = 1 exactly where x0 - 0.5 x1 > 1.
+Dataset separable(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Dataset d;
+  d.X = random_matrix(rows, cols, seed);
+  Rng rng(seed + 1);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t f = 0; f < cols; f += 4) {
+      d.X.at(r, f) = static_cast<float>(rng.uniform_index(6));
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    d.y.push_back(d.X.at(r, 0) - 0.5f * d.X.at(r, 1) > 1.0f ? 1 : 0);
+  }
+  return d;
+}
+
 GradientBoostedTrees fit_model(const Dataset& d,
                                const GradientBoostedTrees::Params& params) {
   GradientBoostedTrees gbdt(params, 5);
@@ -720,7 +741,9 @@ TEST(Gbdt, GoldenPredictionHash) {
   // enough for multi-chunk histogram builds and out-of-subsample updates.
   // A deliberate change to the model's arithmetic must re-pin these.
   // The walk-probe hashes were pinned against the per-tree pointer walk
-  // that the flat node array replaced.
+  // that the flat node array replaced; the 250-tree window and separable
+  // fits against the row-at-a-time histogram loop and the unbounded split
+  // scan that ordered gradients and the bounded scan replaced.
   const Dataset tiny = tiny_window(71);
   auto tiny_params = tiny_window_params();
   tiny_params.subsample = 0.9;
@@ -738,6 +761,34 @@ TEST(Gbdt, GoldenPredictionHash) {
   large_params.min_child_hessian = 4.0;
   EXPECT_EQ(fit_hash(fit_once(large, large_params, 1)), 0x5ebb1904e29f352eull);
   EXPECT_EQ(fit_hash(fit_once(large, large_params, 4)), 0x5ebb1904e29f352eull);
+
+  // train_window's shape: default Params (250 trees) on a tiny window, so
+  // most scans are late-tree roots holding little hessian.
+  const Dataset window = tiny_window(73);
+  EXPECT_EQ(fit_hash(fit_once(window, GradientBoostedTrees::Params{}, 1)),
+            0x17df0fb9200b04a0ull);
+
+  // Separable data with lambda = 0 and learning rate 1: residual hessians
+  // collapse towards 0, so a derived (parent - smaller) histogram rounds
+  // some hessian cells below zero, and the split scan must not stop early
+  // on them. On the 3-feature fit, stopping at the first HR < mch of such
+  // a histogram would pick a different split.
+  GradientBoostedTrees::Params sep_params;
+  sep_params.trees = 100;
+  sep_params.lambda = 0.0;
+  sep_params.learning_rate = 1.0;
+  sep_params.subsample = 1.0;
+  sep_params.min_child_hessian = 1e-6;
+  const Dataset sep = separable(3'000, 8, 83);
+  for (const std::size_t threads : {1, 4}) {
+    const FitResult fit = fit_once(sep, sep_params, threads);
+    EXPECT_GT(fit.negative_h, 0u) << threads << " threads";
+    EXPECT_EQ(fit_hash(fit), 0xa40f8af54a8a95ccull) << threads << " threads";
+  }
+  sep_params.min_child_hessian = 1e-300;
+  const FitResult narrow = fit_once(separable(3'000, 3, 6), sep_params, 1);
+  EXPECT_GT(narrow.negative_h, 0u);
+  EXPECT_EQ(fit_hash(narrow), 0x3ace458386309f38ull);
 
   // Walk probe: NaN, infinities and every threshold with its neighbours,
   // scored in and around whole row blocks. The leaf-only model (depth 0)

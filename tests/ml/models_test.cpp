@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "ml/gbdt.hpp"
 #include "ml/logistic_regression.hpp"
@@ -108,6 +110,26 @@ TEST_P(AllModelsTest, WidthMismatchThrows) {
   model->fit(train);
   const std::vector<float> wrong = {1.0f, 2.0f, 3.0f};
   EXPECT_THROW(model->predict_proba(wrong), CheckError);
+}
+
+TEST_P(AllModelsTest, NonFiniteTrainingFeatureThrows) {
+  // NaN or +/-inf anywhere in X is refused before any training work, with
+  // the offending row and feature named.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    Dataset train = linear_blobs(200, 8);
+    train.X.at(37, 1) = bad;
+    auto model = make_model(GetParam(), 77);
+    try {
+      model->fit(train);
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("feature 1 in row 37"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AllModelsTest,
