@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
@@ -306,17 +307,26 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     const BinnedColumns& binned, std::vector<std::size_t>& row_index,
     const std::vector<float>& grad, const std::vector<float>& hess,
     FitBuffers& pool, std::vector<LeafRange>& leaves) {
+  // The tree grows in a block sized for max_depth, all pads to begin with;
+  // slot numbering does not depend on the depth, so once the tree's real
+  // depth d is known the block is cut to its depth-d prefix.
   TreeRef tree;
-  tree.root = static_cast<std::int32_t>(nodes_.size());
-  nodes_.push_back({});
-  gains_.push_back(0.0);
+  tree.splits = static_cast<std::uint32_t>(splits_.size());
+  tree.values = static_cast<std::uint32_t>(values_.size());
+  const std::size_t full_internal = (std::size_t{1} << params_.max_depth) - 1;
+  splits_.resize(tree.splits + full_internal);
+  gains_.resize(tree.splits + full_internal, 0.0);
+  values_.resize(tree.values + 2 * full_internal + 1, 0.0f);
+  const auto set_value = [&](std::uint32_t slot, float value) {
+    values_[tree.values + slot] = value;
+  };
   leaves.clear();
 
   // One frontier entry per tree node still growing. Children of one split
   // are adjacent (2p, 2p+1), and the left child carries the parent's
   // histogram and G/H so its sibling can be derived by subtraction.
   struct BuildNode {
-    std::int32_t node = 0;
+    std::uint32_t slot = 0;
     std::size_t begin = 0, end = 0;      // range in row_index
     double G = 0.0, H = 0.0;
     bool splittable = false;             // H can feed two children
@@ -423,7 +433,6 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
   };
 
   std::vector<BuildNode> level(1);
-  level[0].node = tree.root;
   level[0].begin = 0;
   level[0].end = row_index.size();
 
@@ -441,7 +450,7 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
       });
       for (BuildNode& bn : level) {
         const float value = leaf_value(bn.G, bn.H);
-        nodes_[static_cast<std::size_t>(bn.node)].value = value;
+        set_value(bn.slot, value);
         leaves.push_back({bn.begin, bn.end, value});
         pool.release(bn.parent_hist);
       }
@@ -510,38 +519,32 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
       });
     }
 
-    // Phase 2 — serial: materialize leaves and allocate children so tree
-    // node ids and frontier order are scheduling-independent. Leaves give
-    // their buffers back; a split's histogram moves to its left child for
-    // the next level's subtraction.
+    // Phase 2 — serial: materialize leaves and set up children so the
+    // frontier order is scheduling-independent. Leaves give their buffers
+    // back; a split's histogram moves to its left child for the next
+    // level's subtraction.
     std::vector<BuildNode> next;
     std::vector<std::size_t> splitting;
     for (std::size_t i = 0; i < level.size(); ++i) {
       BuildNode& bn = level[i];
       for (auto& buf : bn.scratch) pool.release(buf);
-      Node& node = nodes_[static_cast<std::size_t>(bn.node)];
+      const float value = leaf_value(bn.G, bn.H);
+      set_value(bn.slot, value);
       if (bn.best_f < 0) {
-        node.value = leaf_value(bn.G, bn.H);
-        leaves.push_back({bn.begin, bn.end, node.value});
+        leaves.push_back({bn.begin, bn.end, value});
         pool.release(bn.hist);
         continue;
       }
-      // Split nodes keep their own Newton value too: explain()'s path
+      // Split slots keep their own Newton value too: explain()'s path
       // attribution charges value deltas along the root -> leaf walk.
-      node.value = leaf_value(bn.G, bn.H);
-      node.feature = bn.best_f;
-      node.threshold =
-          binner_.upper_edge(static_cast<std::size_t>(bn.best_f), bn.best_code);
-      const auto left_id = static_cast<std::int32_t>(nodes_.size());
-      node.left = left_id;
-      gains_[static_cast<std::size_t>(bn.node)] = bn.best_gain;
-      tree.depth = static_cast<std::int32_t>(depth) + 1;
-      // Growing nodes_ may reallocate; `node` must not be touched after this.
-      nodes_.insert(nodes_.end(), 2, Node{});
-      gains_.insert(gains_.end(), 2, 0.0);
+      splits_[tree.splits + bn.slot] = {
+          bn.best_f,
+          binner_.upper_edge(static_cast<std::size_t>(bn.best_f), bn.best_code)};
+      gains_[tree.splits + bn.slot] = bn.best_gain;
+      tree.depth = static_cast<std::uint32_t>(depth) + 1;
       BuildNode child_left, child_right;
-      child_left.node = left_id;
-      child_right.node = left_id + 1;
+      child_left.slot = 2 * bn.slot + 1;
+      child_right.slot = 2 * bn.slot + 2;
       child_left.parent_hist = std::move(bn.hist);
       child_left.parent_G = bn.G;
       child_left.parent_H = bn.H;
@@ -579,6 +582,20 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     });
     level = std::move(next);
   }
+
+  // Pad: in slot order (parents first), a pad hands its value to both
+  // children, so every path through a leaf above the last level ends on
+  // that leaf's value. Then cut the block to the depth-d prefix.
+  const std::size_t internal = (std::size_t{1} << tree.depth) - 1;
+  for (std::size_t i = 0; i < internal; ++i) {
+    if (!splits_[tree.splits + i].pad()) continue;
+    const float value = values_[tree.values + i];
+    values_[tree.values + 2 * i + 1] = value;
+    values_[tree.values + 2 * i + 2] = value;
+  }
+  splits_.resize(tree.splits + internal);
+  gains_.resize(tree.splits + internal);
+  values_.resize(tree.values + 2 * internal + 1);
   return tree;
 }
 
@@ -586,11 +603,16 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   OBS_SPAN("gbdt.fit");
   train.validate();
   REPRO_CHECK_MSG(train.size() > 0, "empty training set");
+  REPRO_CHECK_MSG(params_.max_depth <= kMaxDepth,
+                  "GBDT max_depth " << params_.max_depth << " exceeds the cap of "
+                                    << kMaxDepth
+                                    << ": a depth-d tree stores 2^(d+1) - 1 slots");
   const std::size_t n = train.size();
   const std::size_t d = train.features();
   features_ = d;
-  nodes_.clear();
+  splits_.clear();
   gains_.clear();
+  values_.clear();
   trees_.clear();
 
   const BinnedColumns binned = [&] {
@@ -694,19 +716,37 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   }
 }
 
+template <std::uint32_t D>
+void GradientBoostedTrees::walk(const Split* splits, const float* values,
+                                const float* const* rows, std::size_t n,
+                                float* z) noexcept {
+  // Only at[0, n) is read, and it is set first: zeroing all kBlock slots
+  // for every tree cost about 8% of a 16-row batch.
+  std::uint32_t at[kBlock];
+  for (std::size_t k = 0; k < n; ++k) at[k] = 0;
+  for (std::uint32_t d = 0; d < D; ++d) {
+    for (std::size_t k = 0; k < n; ++k) {
+      at[k] = child(splits[at[k]], at[k], rows[k]);
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) z[k] += values[at[k]];
+}
+
 void GradientBoostedTrees::add_trees(std::size_t t_begin, std::size_t t_end,
                                      const float* const* rows, std::size_t n,
                                      float* z) const noexcept {
-  std::int32_t at[kBlock] = {};
+  // walk<D> for every legal depth D, indexed by D.
+  using WalkFn = void (*)(const Split*, const float*, const float* const*,
+                          std::size_t, float*) noexcept;
+  static constexpr auto kWalks =
+      []<std::uint32_t... D>(std::integer_sequence<std::uint32_t, D...>) {
+        return std::array<WalkFn, sizeof...(D)>{&walk<D>...};
+      }(std::make_integer_sequence<std::uint32_t, kMaxDepth + 1>{});
   for (std::size_t t = t_begin; t < t_end; ++t) {
     const TreeRef tree = trees_[t];
-    for (std::size_t k = 0; k < n; ++k) at[k] = tree.root;
-    for (std::int32_t d = 0; d < tree.depth; ++d) {
-      for (std::size_t k = 0; k < n; ++k) at[k] = step(at[k], rows[k]);
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      z[k] += nodes_[static_cast<std::size_t>(at[k])].value;
-    }
+    const Split* splits = splits_.data() + tree.splits;
+    const float* values = values_.data() + tree.values;
+    kWalks[tree.depth](splits, values, rows, n, z);
   }
 }
 
@@ -748,14 +788,18 @@ bool GradientBoostedTrees::explain(std::span<const float> x,
   std::fill(contributions.begin(), contributions.end(), 0.0);
   double b = base_score_;
   for (const TreeRef& tree : trees_) {
-    std::int32_t i = tree.root;
-    b += nodes_[static_cast<std::size_t>(i)].value;
-    while (!nodes_[static_cast<std::size_t>(i)].leaf()) {
-      const Node& n = nodes_[static_cast<std::size_t>(i)];
-      const std::int32_t next = step(i, x.data());
-      contributions[static_cast<std::size_t>(n.feature)] +=
-          static_cast<double>(nodes_[static_cast<std::size_t>(next)].value) -
-          static_cast<double>(n.value);
+    const Split* splits = splits_.data() + tree.splits;
+    const float* values = values_.data() + tree.values;
+    b += values[0];
+    // A pad step moves between equal values and charges nothing.
+    std::uint32_t i = 0;
+    for (std::uint32_t d = 0; d < tree.depth; ++d) {
+      const Split& s = splits[i];
+      const std::uint32_t next = child(s, i, x.data());
+      if (!s.pad()) {
+        contributions[static_cast<std::size_t>(s.feature)] +=
+            static_cast<double>(values[next]) - static_cast<double>(values[i]);
+      }
       i = next;
     }
   }
@@ -765,9 +809,9 @@ bool GradientBoostedTrees::explain(std::span<const float> x,
 
 std::vector<double> GradientBoostedTrees::feature_importance() const {
   std::vector<double> imp(features_, 0.0);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].leaf()) {
-      imp[static_cast<std::size_t>(nodes_[i].feature)] += gains_[i];
+  for (std::size_t i = 0; i < splits_.size(); ++i) {
+    if (!splits_[i].pad()) {
+      imp[static_cast<std::size_t>(splits_[i].feature)] += gains_[i];
     }
   }
   return imp;
@@ -776,14 +820,12 @@ std::vector<double> GradientBoostedTrees::feature_importance() const {
 std::vector<std::pair<std::int32_t, float>> GradientBoostedTrees::tree_splits(
     std::size_t t) const {
   REPRO_CHECK(t < trees_.size());
-  const auto begin = static_cast<std::size_t>(trees_[t].root);
-  const std::size_t end = t + 1 < trees_.size()
-                              ? static_cast<std::size_t>(trees_[t + 1].root)
-                              : nodes_.size();
+  const TreeRef tree = trees_[t];
+  const std::size_t internal = (std::size_t{1} << tree.depth) - 1;
   std::vector<std::pair<std::int32_t, float>> out;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (!nodes_[i].leaf()) {
-      out.emplace_back(nodes_[i].feature, nodes_[i].threshold);
+  for (std::size_t i = tree.splits; i < tree.splits + internal; ++i) {
+    if (!splits_[i].pad()) {
+      out.emplace_back(splits_[i].feature, splits_[i].threshold);
     }
   }
   return out;

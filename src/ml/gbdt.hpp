@@ -32,11 +32,15 @@
 //   - training scores update by leaf-indexed lookup for in-subsample rows
 //     (their leaf is known from partitioning) and by walking the raw
 //     feature rows for rows outside the subsample;
-//   - the fitted model is one flat node array: every tree's nodes sit in
-//     one contiguous vector with absolute child indices and the right
-//     child always at left + 1, so prediction, attribution, importance and
-//     the fit's score update all walk the same array with one branch-free
-//     step, a fixed number of times per tree (DESIGN.md §6b).
+//   - every fitted tree is stored as a padded perfect tree of its own
+//     depth d, indexed implicitly: internal slot i holds a split and its
+//     children are slots 2i+1 and 2i+2. A leaf shallower than d is padded:
+//     its slot and every slot beneath it route all rows right and carry
+//     the leaf's value, so any path through them ends on that value;
+//   - prediction, attribution and the fit's score update all run one walk
+//     step, i = 2i + 1 + !(x[f] <= t), exactly d times per tree, for up to
+//     64 rows at a time; importance and introspection skip the pads
+//     (DESIGN.md §6b). fit() rejects a max_depth above kMaxDepth.
 //
 // Determinism: all histogram merges use the fixed-order chunked reduction
 // of common/parallel.hpp, sibling derivation is a pure function of the
@@ -45,7 +49,9 @@
 // REPRO_THREADS (see DESIGN.md §6b).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -105,7 +111,7 @@ class GradientBoostedTrees final : public Model {
  public:
   struct Params {
     std::size_t trees = 250;
-    std::size_t max_depth = 6;
+    std::size_t max_depth = 6;     ///< at most kMaxDepth
     double learning_rate = 0.1;
     double lambda = 1.0;           ///< L2 on leaf values
     double gamma = 0.0;            ///< min gain to split
@@ -114,6 +120,10 @@ class GradientBoostedTrees final : public Model {
     double pos_weight = 3.5;       ///< positive-class weight (recall knob)
     std::size_t max_bins = 255;
   };
+
+  /// Deepest max_depth fit() accepts: a padded tree of depth d stores
+  /// 2^(d+1) - 1 slots, so the layout's size doubles with every level.
+  static constexpr std::size_t kMaxDepth = 12;
 
   explicit GradientBoostedTrees(std::uint64_t seed = 1234);
   explicit GradientBoostedTrees(const Params& params,
@@ -147,40 +157,44 @@ class GradientBoostedTrees final : public Model {
       std::size_t t) const;
 
  private:
-  /// One node of the flat model. A split's children are adjacent: the
-  /// right child is always left + 1.
-  struct Node {
-    std::int32_t feature = 0;  ///< split feature; 0 on leaves (read, unused)
-    float threshold = 0.0f;    ///< go left when value <= threshold
-    std::int32_t left = -1;    ///< index of the left child; -1 on leaves
-    /// Newton value of the node's sample set. Prediction output for
-    /// leaves; on split nodes it only feeds explain()'s path attribution.
-    float value = 0.0f;
-    [[nodiscard]] bool leaf() const noexcept { return left < 0; }
+  /// Internal slot i of a padded tree: a row goes to slot 2i + 1 when
+  /// x[feature] <= threshold and to 2i + 2 otherwise, NaN included. A pad
+  /// (a leaf's slot above the tree's last level, or a slot beneath one)
+  /// has a NaN threshold, so every row goes right.
+  struct Split {
+    std::int32_t feature = 0;
+    float threshold = std::numeric_limits<float>::quiet_NaN();
+    [[nodiscard]] bool pad() const noexcept { return std::isnan(threshold); }
   };
-  static_assert(sizeof(Node) == 16);
-  /// A tree's root in nodes_ and the split count on its deepest path.
+  static_assert(sizeof(Split) == 8);
+  /// A tree of depth d: internal slots [0, 2^d - 1) at splits_[splits],
+  /// slot values [0, 2^(d+1) - 1) at values_[values]. A slot's value is a
+  /// leaf's output, a split's Newton value (explain() charges the deltas
+  /// along the path) or, on a pad, the value of the leaf above it.
   struct TreeRef {
-    std::int32_t root = 0;
-    std::int32_t depth = 0;
+    std::uint32_t splits = 0;
+    std::uint32_t values = 0;
+    std::uint32_t depth = 0;
   };
-  /// Rows that step through a tree together in add_trees.
-  static constexpr std::size_t kBlock = 16;
+  /// Rows that walk a tree together in add_trees.
+  static constexpr std::size_t kBlock = 64;
 
-  /// One step of the walk: a split sends x to left or left + 1, a leaf
-  /// keeps its own index. No data-dependent branch.
-  [[nodiscard]] std::int32_t step(std::int32_t i,
-                                  const float* x) const noexcept {
-    const Node& n = nodes_[static_cast<std::size_t>(i)];
-    const std::int32_t next =
-        n.left + !(x[static_cast<std::size_t>(n.feature)] <= n.threshold);
-    const std::int32_t leaf = n.left >> 31;  // all ones on a leaf
-    return (i & leaf) | (next & ~leaf);
+  /// The walk step: the slot x moves to from internal slot i.
+  [[nodiscard]] static std::uint32_t child(const Split& s, std::uint32_t i,
+                                           const float* x) noexcept {
+    return 2 * i + 1 +
+           !(x[static_cast<std::size_t>(s.feature)] <= s.threshold);
   }
 
+  /// Adds the value a depth-D tree gives rows[k] to z[k], k < n <= kBlock:
+  /// exactly D walk steps, all n rows stepping together.
+  template <std::uint32_t D>
+  static void walk(const Split* splits, const float* values,
+                   const float* const* rows, std::size_t n, float* z) noexcept;
+
   /// Adds the leaf value of trees [t_begin, t_end), in tree order, to z[k]
-  /// for each row rows[k], k < n <= kBlock. Each tree is walked for exactly
-  /// its depth with all n rows stepping together.
+  /// for each row rows[k], k < n <= kBlock, through the walk instantiated
+  /// for each tree's depth.
   void add_trees(std::size_t t_begin, std::size_t t_end,
                  const float* const* rows, std::size_t n,
                  float* z) const noexcept;
@@ -195,7 +209,8 @@ class GradientBoostedTrees final : public Model {
   /// one fit.
   class FitBuffers;
 
-  /// Grows one tree onto the end of nodes_ and returns it.
+  /// Grows one tree onto the ends of splits_, gains_ and values_ and
+  /// returns it.
   TreeRef build_tree(const BinnedColumns& binned,
                      std::vector<std::size_t>& row_index,
                      const std::vector<float>& grad,
@@ -205,8 +220,9 @@ class GradientBoostedTrees final : public Model {
   Params params_;
   Rng rng_;
   FeatureBinner binner_;
-  std::vector<Node> nodes_;    ///< every tree's nodes, tree after tree
-  std::vector<double> gains_;  ///< split gain per node (0 on leaves)
+  std::vector<Split> splits_;  ///< every tree's internal slots, in order
+  std::vector<double> gains_;  ///< split gain per internal slot (0 on pads)
+  std::vector<float> values_;  ///< every tree's slot values, in order
   std::vector<TreeRef> trees_;
   float base_score_ = 0.0f;  ///< prior log-odds
   std::size_t features_ = 0;

@@ -1,11 +1,15 @@
 #include "sim/trace_io.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <type_traits>
+
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -257,10 +261,14 @@ std::uint64_t config_fingerprint(const SimConfig& c) {
 
 void save_trace(const Trace& trace, const SimConfig& config,
                 const std::string& path) {
-  // Atomic publish: stream everything into `<path>.tmp`, then rename. An
-  // interrupted run leaves at worst a stale tmp file, never a torn cache
-  // entry under the final name.
-  const std::string tmp = path + ".tmp";
+  // Atomic publish: stream everything into a temp file of this writer's
+  // own, then rename. Concurrent writers of one entry (two processes
+  // filling the same cache, or two threads) never share a temp file, and
+  // the last rename wins with a complete file. An interrupted run leaves at
+  // worst a stale temp file, never a torn cache entry under the final name.
+  static std::atomic<std::uint64_t> writers{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writers.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     REPRO_CHECK_MSG(out.good(), "cannot open " << tmp << " for writing");

@@ -11,7 +11,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -341,15 +344,20 @@ class TraceFileFuzz : public ::testing::Test {
     }();
     return cfg;
   }
+  /// Per-process name, so test binaries of different build trees running
+  /// at once never share the pristine file or its `.fuzz`/`.unordered`
+  /// copies.
   static const std::string& pristine_path() {
-    static const std::string path = [] {
-      const std::string p =
-          (std::filesystem::temp_directory_path() / "repro_inject_trace.bin")
-              .string();
-      sim::save_trace(sim::simulate(config()), config(), p);
-      return p;
-    }();
+    static const std::string path = ::testing::TempDir() +
+                                    "repro_inject_trace_" +
+                                    std::to_string(::getpid()) + ".bin";
     return path;
+  }
+  static void SetUpTestSuite() {
+    sim::save_trace(sim::simulate(config()), config(), pristine_path());
+  }
+  static void TearDownTestSuite() {
+    std::filesystem::remove(pristine_path());
   }
   /// Fresh mutable copy of the pristine file for one fuzz trial.
   std::string working_copy() const {
@@ -361,7 +369,14 @@ class TraceFileFuzz : public ::testing::Test {
 };
 
 TEST_F(TraceFileFuzz, RoundTripAndAtomicity) {
-  EXPECT_FALSE(std::filesystem::exists(pristine_path() + ".tmp"));
+  // The writer's temp file was renamed away, not left beside the trace.
+  const std::filesystem::path pristine(pristine_path());
+  const std::string tmp_prefix = pristine.filename().string() + ".tmp";
+  for (const auto& e :
+       std::filesystem::directory_iterator(pristine.parent_path())) {
+    EXPECT_NE(e.path().filename().string().rfind(tmp_prefix, 0), 0u)
+        << "left behind " << e.path();
+  }
   const sim::Trace reloaded = sim::read_trace(config(), pristine_path());
   const sim::Trace direct = sim::simulate(config());
   EXPECT_TRUE(same_records(reloaded.samples, direct.samples));

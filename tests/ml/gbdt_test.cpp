@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
 
@@ -638,6 +640,11 @@ struct Fnv {
     }
   }
   void mix(float v) { mix(std::bit_cast<std::uint32_t>(v)); }
+  void mix(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    mix(static_cast<std::uint32_t>(bits));
+    mix(static_cast<std::uint32_t>(bits >> 32));
+  }
 };
 
 // FNV-1a over the bit patterns of every prediction and split.
@@ -685,12 +692,15 @@ Matrix walk_probe(const GradientBoostedTrees& gbdt, std::size_t features,
 }
 
 // Hash of the probe's scores through predict_proba_many on the probe's
-// leading 1, 255, 256, 257 and 700 rows, so 256-row chunks and 16-row walk
-// blocks end both whole and partial, and through per-row predict_proba,
-// which must agree bitwise.
+// leading 1, 255, 256, 257 and 700 rows, so 256-row chunks end both whole
+// and partial, and through per-row predict_proba, which must agree bitwise.
+// Batches of 63, 64 and 65 rows end 64-row walk blocks whole and partial;
+// they are held to the same bitwise agreement with predict_proba (whose
+// scores the hash covers) but not mixed in, so the pins predate them.
 std::uint64_t probe_hash(const GradientBoostedTrees& gbdt, const Matrix& probe) {
   Fnv fnv;
-  for (const std::size_t rows : {1, 255, 256, 257, 700}) {
+  for (const std::size_t rows : {1, 63, 64, 65, 255, 256, 257, 700}) {
+    const bool mixed = rows < 63 || rows > 65;
     Matrix X(rows, probe.cols());
     for (std::size_t r = 0; r < rows; ++r) {
       std::copy_n(probe.row(r).begin(), probe.cols(), X.row(r).begin());
@@ -701,12 +711,28 @@ std::uint64_t probe_hash(const GradientBoostedTrees& gbdt, const Matrix& probe) 
       EXPECT_EQ(std::bit_cast<std::uint32_t>(many[r]),
                 std::bit_cast<std::uint32_t>(gbdt.predict_proba(X.row(r))))
           << "batch " << rows << " row " << r;
-      fnv.mix(many[r]);
+      if (mixed) fnv.mix(many[r]);
     }
   }
   for (std::size_t r = 0; r < probe.rows(); ++r) {
     fnv.mix(gbdt.predict_proba(probe.row(r)));
   }
+  return fnv.h;
+}
+
+// Hash of explain()'s bias and every contribution, bitwise, on each probe
+// row, then of feature_importance().
+std::uint64_t explain_hash(const GradientBoostedTrees& gbdt,
+                           const Matrix& probe) {
+  Fnv fnv;
+  std::vector<double> contributions(probe.cols());
+  for (std::size_t r = 0; r < probe.rows(); ++r) {
+    double bias = 0.0;
+    EXPECT_TRUE(gbdt.explain(probe.row(r), contributions, &bias));
+    fnv.mix(bias);
+    for (const double c : contributions) fnv.mix(c);
+  }
+  for (const double gain : gbdt.feature_importance()) fnv.mix(gain);
   return fnv.h;
 }
 
@@ -801,9 +827,68 @@ TEST(Gbdt, GoldenPredictionHash) {
   };
   EXPECT_EQ(probe_of(tiny, tiny_params, 91), 0xe24c79d319fe599dull);
   EXPECT_EQ(probe_of(large, large_params, 92), 0xc6d77095f8b68ecbull);
+
+  // Attribution and importance, pinned against the flat-node engine that
+  // the padded trees replaced.
+  const auto explain_of = [](const Dataset& d,
+                             const GradientBoostedTrees::Params& params,
+                             std::uint64_t seed) {
+    const GradientBoostedTrees gbdt = fit_model(d, params);
+    return explain_hash(gbdt, walk_probe(gbdt, d.features(), seed));
+  };
+  EXPECT_EQ(explain_of(tiny, tiny_params, 94), 0x7d786dc1c852638cull);
+  EXPECT_EQ(explain_of(large, large_params, 95), 0x7f57d29377a4de6full);
   auto stump_params = large_params;
   stump_params.max_depth = 0;
   EXPECT_EQ(probe_of(large, stump_params, 93), 0x7b43d511bd5fe754ull);
+}
+
+TEST(Gbdt, FitRejectsMaxDepthAboveCap) {
+  const Dataset d = tiny_window(61);
+  auto params = tiny_window_params();
+  params.trees = 2;
+  params.max_depth = GradientBoostedTrees::kMaxDepth + 1;
+  GradientBoostedTrees too_deep(params, 5);
+  try {
+    too_deep.fit(d);
+    ADD_FAILURE() << "fit accepted max_depth " << params.max_depth;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("max_depth"), std::string::npos)
+        << e.what();
+  }
+  params.max_depth = GradientBoostedTrees::kMaxDepth;
+  GradientBoostedTrees at_cap(params, 5);
+  EXPECT_NO_THROW(at_cap.fit(d));
+}
+
+TEST(Gbdt, TreesAtTheDepthCapWalkAndExplainConsistently) {
+  // Separable data with no regularization grows trees to the cap on some
+  // paths while other leaves stop shallow, so most slots are pads.
+  GradientBoostedTrees::Params params;
+  params.trees = 8;
+  params.max_depth = GradientBoostedTrees::kMaxDepth;
+  params.lambda = 0.0;
+  params.learning_rate = 1.0;
+  params.subsample = 0.8;
+  params.min_child_hessian = 1e-6;
+  const Dataset d = separable(3'000, 8, 84);
+  const GradientBoostedTrees gbdt = fit_model(d, params);
+  std::size_t splits = 0;
+  for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
+    splits += gbdt.tree_splits(t).size();
+  }
+  EXPECT_GT(splits, 2 * params.max_depth);
+  const Matrix probe = walk_probe(gbdt, d.features(), 96);
+  (void)probe_hash(gbdt, probe);  // batches agree bitwise with per-row
+  std::vector<double> contributions(probe.cols());
+  for (std::size_t r = 0; r < probe.rows(); ++r) {
+    double bias = 0.0;
+    ASSERT_TRUE(gbdt.explain(probe.row(r), contributions, &bias));
+    const double z = std::accumulate(contributions.begin(),
+                                     contributions.end(), bias);
+    const double p = gbdt.predict_proba(probe.row(r));
+    EXPECT_NEAR(1.0 / (1.0 + std::exp(-z)), p, 1e-5) << "row " << r;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <latch>
+#include <string>
+#include <thread>
 #include <unordered_map>
+#include <vector>
+
+#include <unistd.h>
 
 #include "common/parallel.hpp"
 #include "sim/simulator.hpp"
@@ -222,6 +229,45 @@ TEST(TraceIo, RoundTripsThroughCache) {
     EXPECT_EQ(loaded->period_hists[n].temp_free.total(),
               original.period_hists[n].temp_free.total());
   }
+}
+
+TEST(TraceIo, ConcurrentWritersOfOneEntryBothPublish) {
+  // Two writers fill one cache entry at once, as two processes do on a
+  // cold cache. Each streams into a temp file of its own: both return, the
+  // entry loads whole and no temp file is left behind.
+  const SimConfig cfg = SimConfig::testing(6, 13);
+  const Trace trace = simulate(cfg);
+  const std::string name =
+      "trace_concurrent_" + std::to_string(::getpid()) + ".bin";
+  const std::string path = ::testing::TempDir() + name;
+  for (int round = 0; round < 3; ++round) {
+    std::filesystem::remove(path);
+    std::latch start(2);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 2; ++w) {
+      writers.emplace_back([&] {
+        start.arrive_and_wait();
+        try {
+          save_trace(trace, cfg, path);
+        } catch (const std::exception& e) {
+          ++failures;
+          ADD_FAILURE() << e.what();
+        }
+      });
+    }
+    for (auto& writer : writers) writer.join();
+    EXPECT_EQ(failures.load(), 0) << "round " << round;
+    const auto loaded = load_trace(cfg, path);
+    ASSERT_TRUE(loaded.has_value()) << "round " << round;
+    EXPECT_EQ(loaded->samples.size(), trace.samples.size());
+  }
+  for (const auto& e :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    EXPECT_NE(e.path().filename().string().rfind(name + ".tmp", 0), 0u)
+        << "left behind " << e.path();
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(TraceIo, RejectsMismatchedConfig) {
