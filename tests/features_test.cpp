@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "support/test_trace.hpp"
@@ -162,6 +165,40 @@ TEST(FeatureExtractor, ForecastHorizonSurvivesHostileRuntimes) {
   }
 }
 
+TEST(FeatureExtractor, NonFiniteInputsAreImputedToZero) {
+  // A sample that bypassed ingest can carry NaN/inf telemetry or app
+  // fields; extract() must hand the learner 0 in exactly those columns and
+  // leave every other column as a clean copy of the sample gives it.
+  const sim::Trace& trace = shared_tiny_trace();
+  const FeatureExtractor fx(trace, {});
+  const auto& names = fx.names();
+  const auto col = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), name) - names.begin());
+  };
+  const sim::RunNodeSample& clean = trace.samples[7];
+  sim::RunNodeSample dirty = clean;
+  dirty.runtime_min = std::nanf("");
+  dirty.run_gpu_temp.mean = std::numeric_limits<float>::infinity();
+  dirty.slot_gpu_power.diff_std = -std::numeric_limits<float>::infinity();
+  std::vector<float> a(fx.dim()), b(fx.dim());
+  fx.extract(clean, a);
+  fx.extract(dirty, b);
+  const std::set<std::size_t> bad = {col("app_runtime_min"),
+                                     col("cur_gpu_temp_mean"),
+                                     col("slot_gpu_power_dstd")};
+  ASSERT_EQ(bad.size(), 3u);
+  for (std::size_t c = 0; c < fx.dim(); ++c) {
+    if (bad.contains(c)) {
+      EXPECT_EQ(b[c], 0.0f) << names[c];
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(b[c]),
+                std::bit_cast<std::uint32_t>(a[c]))
+          << names[c];
+    }
+  }
+}
+
 TEST(FeatureExtractor, HistoryOnlySeesPastObservations) {
   const sim::Trace& trace = shared_tiny_trace();
   const FeatureExtractor fx(trace, {.mask = kGroupHist});
@@ -229,6 +266,59 @@ TEST(FeatureExtractor, ForecastedRunStatsDifferButStayPlausible) {
   // classifier only needs them informative and consistent, not unbiased.
   EXPECT_LT(abs_err / 50.0, 15.0);
   EXPECT_GT(abs_err / 50.0, 0.01);  // and they are not just copies
+}
+
+// FNV-1a over the bit patterns of every feature value `fx` extracts from
+// every sample of `trace`, row after row.
+std::uint64_t extract_hash(const sim::Trace& trace, const FeatureExtractor& fx) {
+  std::uint64_t h = 1469598103934665603ull;
+  std::vector<float> out(fx.dim());
+  for (const sim::RunNodeSample& s : trace.samples) {
+    fx.extract(s, out);
+    for (const float v : out) {
+      const auto word = std::bit_cast<std::uint32_t>(v);
+      for (int b = 0; b < 4; ++b) {
+        h ^= (word >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(FeatureExtractor, GoldenExtractHash) {
+  // Pins extract() bit-for-bit on every sample of the tiny trace, for the
+  // full set, the history group, each history bit alone, the Table IV sets
+  // and the forecast variant. The pins were computed on the extractor that
+  // made nine SbeLog window queries per row; a change to how features are
+  // computed must keep them or re-pin deliberately.
+  const sim::Trace& trace = shared_tiny_trace();
+  struct Pin {
+    FeatureMask mask;
+    bool forecast;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {kAllFeatures, false, 0x1fa85726d17344ddull},
+      {kGroupHist, false, 0xdb59b0a9648b3f98ull},
+      {kFeatHistLocalToday, false, 0x434e4e8e29d14b5dull},
+      {kFeatHistLocalYesterday, false, 0x0e3565705f48616cull},
+      {kFeatHistLocalBefore, false, 0x2da44f7995fa8487ull},
+      {kFeatHistGlobalToday, false, 0x6504c7d5946122eaull},
+      {kFeatHistGlobalYesterday, false, 0x31338e4753a50c95ull},
+      {kFeatHistGlobalBefore, false, 0x20d7f746b02b06a1ull},
+      {kFeatHistApp, false, 0x5880793cff7dfdb4ull},
+      {kSetCur, false, 0x1419d1073e236508ull},
+      {kSetCurPrev, false, 0x181e778b63576197ull},
+      {kSetCurNei, false, 0x2c430f8d9074986aull},
+      {kAllFeatures, true, 0x843fea9b65d3e0fbull},
+  };
+  for (const Pin& pin : pins) {
+    const FeatureExtractor fx(
+        trace, {.mask = pin.mask, .forecast_current_run = pin.forecast});
+    EXPECT_EQ(extract_hash(trace, fx), pin.hash)
+        << std::hex << "mask 0x" << pin.mask << " forecast " << pin.forecast;
+  }
 }
 
 TEST(DescribeMask, NamedSets) {
