@@ -176,41 +176,36 @@ void FeatureExtractor::extract(const sim::RunNodeSample& s,
   // SBE history, visible strictly before the run starts (snapshot
   // semantics are already enforced by SbeLog's observation times).
   // Clamp the window starts to 0: a run in the trace's first two days has
-  // day1/day2 before minute zero, and the unclamped values used to reach
-  // SbeLog::between as lo > hi (an empty-by-accident, order-inverted query).
-  const auto& log = trace_.sbe_log;
-  const Minute t = s.start;
-  const Minute day1 = std::max<Minute>(t - kMinutesPerDay, 0);
-  const Minute day2 = std::max<Minute>(t - 2 * kMinutesPerDay, 0);
-  if (m & kFeatHistLocalToday) {
-    out[k++] = count_feature(log.node_count_between(s.node, day1, t));
-  }
-  if (m & kFeatHistLocalYesterday) {
-    out[k++] = count_feature(log.node_count_between(s.node, day2, day1));
-  }
-  if (m & kFeatHistLocalBefore) {
-    out[k++] = count_feature(log.node_count_between(s.node, 0, day2));
-  }
-  if (m & kFeatHistGlobalToday) {
-    out[k++] = count_feature(log.global_count_between(day1, t));
-  }
-  if (m & kFeatHistGlobalYesterday) {
-    out[k++] = count_feature(log.global_count_between(day2, day1));
-  }
-  if (m & kFeatHistGlobalBefore) {
-    out[k++] = count_feature(log.global_count_between(0, day2));
-  }
-  if (m & kFeatHistApp) {
-    out[k++] = count_feature(log.app_count_between(s.app, day1, t));
-    out[k++] = count_feature(log.app_node_count_between(s.app, s.node, day1, t));
+  // day1/day2 before minute zero.
+  if (m & kGroupHist) {
+    const Minute t = s.start;
+    const faults::SbeHistory h = trace_.sbe_log.history(
+        s.node, s.app, std::max<Minute>(t - 2 * kMinutesPerDay, 0),
+        std::max<Minute>(t - kMinutesPerDay, 0), t);
+    if (m & kFeatHistLocalToday) out[k++] = count_feature(h.node_today);
+    if (m & kFeatHistLocalYesterday) out[k++] = count_feature(h.node_yesterday);
+    if (m & kFeatHistLocalBefore) out[k++] = count_feature(h.node_before);
+    if (m & kFeatHistGlobalToday) out[k++] = count_feature(h.global_today);
+    if (m & kFeatHistGlobalYesterday) {
+      out[k++] = count_feature(h.global_yesterday);
+    }
+    if (m & kFeatHistGlobalBefore) out[k++] = count_feature(h.global_before);
+    if (m & kFeatHistApp) {
+      out[k++] = count_feature(h.app_today);
+      out[k++] = count_feature(h.app_node_today);
+    }
   }
   REPRO_CHECK_MSG(k == names_.size(), "feature emission mismatch");
 
   // Last-line defense: non-finite values must never reach a learner (GBDT
   // split finding and the scaler both silently misbehave on NaN). A clean
-  // trace emits only finite values, so this pass is observationally a
-  // no-op there; a sample that bypassed sim::ingest_trace (or a forecast
-  // over a NaN-holed tail) gets imputed to 0 and counted.
+  // trace emits only finite values, so a branch-free check over the row
+  // comes first; a sample that bypassed sim::ingest_trace (or a forecast
+  // over a NaN-holed tail) gets its non-finite values imputed to 0 and
+  // counted.
+  bool finite = true;
+  for (const float v : out) finite &= std::isfinite(v);
+  if (finite) return;
   std::size_t scrubbed = 0;
   for (float& v : out) {
     if (!std::isfinite(v)) {
@@ -218,7 +213,7 @@ void FeatureExtractor::extract(const sim::RunNodeSample& s,
       ++scrubbed;
     }
   }
-  if (scrubbed > 0) OBS_COUNT_ADD("features.values_imputed", scrubbed);
+  OBS_COUNT_ADD("features.values_imputed", scrubbed);
 }
 
 ml::Dataset FeatureExtractor::build(

@@ -717,36 +717,48 @@ void GradientBoostedTrees::fit(const Dataset& train) {
 }
 
 template <std::uint32_t D>
-void GradientBoostedTrees::walk(const Split* splits, const float* values,
-                                const float* const* rows, std::size_t n,
-                                float* z) noexcept {
-  // Only at[0, n) is read, and it is set first: zeroing all kBlock slots
-  // for every tree cost about 8% of a 16-row batch.
-  std::uint32_t at[kBlock];
-  for (std::size_t k = 0; k < n; ++k) at[k] = 0;
-  for (std::uint32_t d = 0; d < D; ++d) {
-    for (std::size_t k = 0; k < n; ++k) {
-      at[k] = child(splits[at[k]], at[k], rows[k]);
+inline void GradientBoostedTrees::walk(const Split* splits,
+                                       const float* values,
+                                       const float* const* rows,
+                                       std::size_t n, float* z) noexcept {
+  if constexpr (D == 0) {
+    for (std::size_t k = 0; k < n; ++k) z[k] += values[0];
+  } else {
+    // Every row's first step leaves the root, so at[] starts there.
+    std::uint32_t at[kBlock];
+    for (std::size_t k = 0; k < n; ++k) at[k] = child(splits[0], 0, rows[k]);
+    for (std::uint32_t d = 1; d < D; ++d) {
+      for (std::size_t k = 0; k < n; ++k) {
+        at[k] = child(splits[at[k]], at[k], rows[k]);
+      }
     }
+    for (std::size_t k = 0; k < n; ++k) z[k] += values[at[k]];
   }
-  for (std::size_t k = 0; k < n; ++k) z[k] += values[at[k]];
 }
 
 void GradientBoostedTrees::add_trees(std::size_t t_begin, std::size_t t_end,
                                      const float* const* rows, std::size_t n,
                                      float* z) const noexcept {
-  // walk<D> for every legal depth D, indexed by D.
-  using WalkFn = void (*)(const Split*, const float*, const float* const*,
-                          std::size_t, float*) noexcept;
-  static constexpr auto kWalks =
-      []<std::uint32_t... D>(std::integer_sequence<std::uint32_t, D...>) {
-        return std::array<WalkFn, sizeof...(D)>{&walk<D>...};
-      }(std::make_integer_sequence<std::uint32_t, kMaxDepth + 1>{});
+  static_assert(kMaxDepth == 12, "add_trees needs a case for every depth");
   for (std::size_t t = t_begin; t < t_end; ++t) {
     const TreeRef tree = trees_[t];
-    const Split* splits = splits_.data() + tree.splits;
-    const float* values = values_.data() + tree.values;
-    kWalks[tree.depth](splits, values, rows, n, z);
+    const Split* s = splits_.data() + tree.splits;
+    const float* v = values_.data() + tree.values;
+    switch (tree.depth) {
+      case 0: walk<0>(s, v, rows, n, z); break;
+      case 1: walk<1>(s, v, rows, n, z); break;
+      case 2: walk<2>(s, v, rows, n, z); break;
+      case 3: walk<3>(s, v, rows, n, z); break;
+      case 4: walk<4>(s, v, rows, n, z); break;
+      case 5: walk<5>(s, v, rows, n, z); break;
+      case 6: walk<6>(s, v, rows, n, z); break;
+      case 7: walk<7>(s, v, rows, n, z); break;
+      case 8: walk<8>(s, v, rows, n, z); break;
+      case 9: walk<9>(s, v, rows, n, z); break;
+      case 10: walk<10>(s, v, rows, n, z); break;
+      case 11: walk<11>(s, v, rows, n, z); break;
+      default: walk<12>(s, v, rows, n, z); break;
+    }
   }
 }
 
