@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <latch>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -202,32 +204,76 @@ TEST(Simulator, IncrementalStepMatchesBatch) {
   EXPECT_EQ(from_inc.sbe_log.events().size(), batch.sbe_log.events().size());
 }
 
+/// True when both vectors hold the same bytes (padding included: the
+/// cache stores trivially copyable records raw).
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+template <typename T>
+bool same_bytes(const T& a, const T& b) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
 TEST(TraceIo, RoundTripsThroughCache) {
-  SimConfig cfg = SimConfig::testing(3, 77);
-  cfg.probe_nodes = {2};
+  // Large enough that the samples span several of the reader's ~1 MiB
+  // blocks, so the round trip covers the block loop and its seams.
+  SimConfig cfg = SimConfig::testing(20, 77);
+  cfg.probe_nodes = {2, 5};
   const Trace original = simulate(cfg);
-  const std::string path = ::testing::TempDir() + "trace_roundtrip.bin";
+  const std::string path = ::testing::TempDir() + "trace_roundtrip_" +
+                           std::to_string(::getpid()) + ".bin";
   save_trace(original, cfg, path);
+  const auto file_bytes = std::filesystem::file_size(path);
   auto loaded = load_trace(cfg, path);
+  std::filesystem::remove(path);
+  ASSERT_GE(file_bytes, 3u << 20);
+  ASSERT_GT(original.samples.size() * sizeof(RunNodeSample), 2u << 20);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->samples.size(), original.samples.size());
-  for (std::size_t i = 0; i < original.samples.size(); ++i) {
-    EXPECT_EQ(loaded->samples[i].run, original.samples[i].run);
-    EXPECT_EQ(loaded->samples[i].sbe_count, original.samples[i].sbe_count);
-    EXPECT_FLOAT_EQ(loaded->samples[i].run_gpu_temp.mean,
-                    original.samples[i].run_gpu_temp.mean);
-  }
-  EXPECT_EQ(loaded->sbe_log.events().size(), original.sbe_log.events().size());
   EXPECT_EQ(loaded->duration, original.duration);
   EXPECT_EQ(loaded->catalog.size(), original.catalog.size());
-  ASSERT_EQ(loaded->probes.size(), 1u);
-  EXPECT_EQ(loaded->probes[0].gpu_temp.size(),
-            original.probes[0].gpu_temp.size());
+  EXPECT_TRUE(same_bytes(loaded->samples, original.samples));
+  EXPECT_TRUE(same_bytes(loaded->sbe_log.events(), original.sbe_log.events()));
+  ASSERT_EQ(loaded->probes.size(), original.probes.size());
+  for (std::size_t p = 0; p < original.probes.size(); ++p) {
+    const ProbeSeries& a = loaded->probes[p];
+    const ProbeSeries& b = original.probes[p];
+    EXPECT_EQ(a.node, b.node);
+    EXPECT_FALSE(b.gpu_temp.empty());
+    EXPECT_TRUE(same_bytes(a.gpu_temp, b.gpu_temp)) << "probe " << p;
+    EXPECT_TRUE(same_bytes(a.gpu_power, b.gpu_power)) << "probe " << p;
+    EXPECT_TRUE(same_bytes(a.cpu_temp, b.cpu_temp)) << "probe " << p;
+    EXPECT_TRUE(same_bytes(a.slot_avg_temp, b.slot_avg_temp)) << "probe " << p;
+    EXPECT_TRUE(same_bytes(a.slot_avg_power, b.slot_avg_power))
+        << "probe " << p;
+    EXPECT_TRUE(same_bytes(a.cage_avg_temp, b.cage_avg_temp)) << "probe " << p;
+  }
+  const auto same_hist = [](const Histogram& a, const Histogram& b) {
+    if (a.bins() != b.bins() || a.total() != b.total()) return false;
+    for (std::size_t i = 0; i < a.bins(); ++i) {
+      if (a.count(i) != b.count(i)) return false;
+    }
+    return true;
+  };
+  ASSERT_EQ(loaded->cumulative.size(), original.cumulative.size());
+  ASSERT_EQ(loaded->period_hists.size(), original.period_hists.size());
   for (std::size_t n = 0; n < original.cumulative.size(); ++n) {
-    EXPECT_DOUBLE_EQ(loaded->cumulative[n].gpu_temp.mean(),
-                     original.cumulative[n].gpu_temp.mean());
-    EXPECT_EQ(loaded->period_hists[n].temp_free.total(),
-              original.period_hists[n].temp_free.total());
+    const auto& a = loaded->cumulative[n];
+    const auto& b = original.cumulative[n];
+    EXPECT_TRUE(same_bytes(a.gpu_temp.state(), b.gpu_temp.state())) << n;
+    EXPECT_TRUE(same_bytes(a.gpu_power.state(), b.gpu_power.state())) << n;
+    EXPECT_TRUE(same_bytes(a.cpu_temp.state(), b.cpu_temp.state())) << n;
+    const auto& ha = loaded->period_hists[n];
+    const auto& hb = original.period_hists[n];
+    EXPECT_TRUE(same_hist(ha.temp_free, hb.temp_free)) << n;
+    EXPECT_TRUE(same_hist(ha.temp_affected, hb.temp_affected)) << n;
+    EXPECT_TRUE(same_hist(ha.power_free, hb.power_free)) << n;
+    EXPECT_TRUE(same_hist(ha.power_affected, hb.power_affected)) << n;
   }
 }
 
