@@ -1,14 +1,18 @@
 #include "sim/trace_io.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <type_traits>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
@@ -21,27 +25,80 @@ namespace {
 
 // v06: the header gained a payload byte count + checksum (ingest
 // hardening); older files without them are version-mismatch stale.
-constexpr std::uint64_t kMagic = 0x54524143'45763036ULL;  // "TRACEv06"
+// v07: the checksum became four interleaved lanes (see Checksum).
+constexpr std::uint64_t kMagic = 0x54524143'45763037ULL;  // "TRACEv07"
 
 // magic + fingerprint + payload_bytes + payload_hash.
 constexpr std::uint64_t kHeaderBytes = 4 * sizeof(std::uint64_t);
 
-/// FNV-1a-style rolling checksum, folded 8 bytes at a time (word-wise is
-/// ~8x faster than byte-wise and cache files run to hundreds of MB; the
-/// format is single-machine so endianness does not matter).
+/// Payload checksum: four interleaved FNV-1a-style lanes over the payload's
+/// 8-byte words, word i folding into lane i mod 4, combined into one
+/// digest at the end. One lane is bound by the latency of a multiply and
+/// an xor per word; four independent lanes keep pace with memory. The word
+/// position and a partial trailing word carry across update() calls, so
+/// the digest depends on the byte stream alone, not on how it was split
+/// into calls (block seams included). Every lane step h' = (h ^ w) * prime
+/// and every step of the final fold is a bijection of each of its inputs,
+/// so any single changed word, and so any single-bit flip, changes the
+/// digest. The format is single-machine, so endianness does not matter.
 struct Checksum {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::array<std::uint64_t, 4> lanes = {kBasis, kBasis + 1, kBasis + 2,
+                                        kBasis + 3};
+  std::uint64_t words = 0;  ///< whole words folded so far
+  std::array<unsigned char, 8> partial{};  ///< bytes of the next word
+  std::size_t partial_bytes = 0;
+
   void update(const char* p, std::size_t n) noexcept {
-    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      std::uint64_t w;
-      std::memcpy(&w, p + i, 8);
-      h = (h ^ w) * kPrime;
+    if (partial_bytes != 0) {
+      const std::size_t take = std::min(n, 8 - partial_bytes);
+      std::memcpy(partial.data() + partial_bytes, p, take);
+      partial_bytes += take;
+      p += take;
+      n -= take;
+      if (partial_bytes < 8) return;
+      fold(load(partial.data()));
+      partial_bytes = 0;
     }
-    for (; i < n; ++i) {
-      h = (h ^ static_cast<unsigned char>(p[i])) * kPrime;
+    for (; n >= 8 && words % 4 != 0; p += 8, n -= 8) fold(load(p));
+    auto [h0, h1, h2, h3] = lanes;
+    const std::size_t quads = n / 32;
+    for (std::size_t q = 0; q < quads; ++q, p += 32) {
+      h0 = (h0 ^ load(p)) * kPrime;
+      h1 = (h1 ^ load(p + 8)) * kPrime;
+      h2 = (h2 ^ load(p + 16)) * kPrime;
+      h3 = (h3 ^ load(p + 24)) * kPrime;
     }
+    lanes = {h0, h1, h2, h3};
+    words += 4 * quads;
+    n -= 32 * quads;
+    for (; n >= 8; p += 8, n -= 8) fold(load(p));
+    std::memcpy(partial.data(), p, n);
+    partial_bytes = n;
+  }
+
+  /// The digest of every byte so far: the lanes, then the zero-padded
+  /// partial word and the byte count (so padding cannot alias a longer
+  /// stream).
+  [[nodiscard]] std::uint64_t digest() const noexcept {
+    std::array<unsigned char, 8> last{};
+    std::memcpy(last.data(), partial.data(), partial_bytes);
+    std::uint64_t h = kBasis;
+    for (const std::uint64_t lane : lanes) h = (h ^ lane) * kPrime;
+    h = (h ^ load(last.data())) * kPrime;
+    return (h ^ (8 * words + partial_bytes)) * kPrime;
+  }
+
+ private:
+  static std::uint64_t load(const void* p) noexcept {
+    std::uint64_t w;
+    std::memcpy(&w, p, 8);
+    return w;
+  }
+  void fold(std::uint64_t w) noexcept {
+    std::uint64_t& h = lanes[words++ % 4];
+    h = (h ^ w) * kPrime;
   }
 };
 
@@ -66,6 +123,11 @@ struct BoundedReader {
   std::istream& in;
   std::uint64_t remaining;
   Checksum sum;
+  /// The one block every vector payload is staged through (read_vec). A
+  /// byte array, so the trivially copyable records read into it are
+  /// objects that read_vec may copy out.
+  std::unique_ptr<std::byte[]> staging =
+      std::make_unique_for_overwrite<std::byte[]>(kTraceReadBlockBytes);
   void read(char* p, std::size_t n) {
     if (n == 0) return;
     REPRO_CHECK_MSG(n <= remaining,
@@ -126,29 +188,59 @@ void write_vec(HashingWriter& out, const std::vector<T>& v) {
             v.size() * sizeof(T));
 }
 
-/// Reads a length-prefixed vector in blocks of about 1 MiB, calling
-/// visit(begin, end) on each block's element range right after it is read,
-/// while it is still in cache. A block is a multiple of 8 bytes, so the
-/// checksum equals that of one read of the whole vector.
+/// Hints the kernel to back the whole pages of [p, p + bytes) with
+/// transparent huge pages when the range spans at least one: a load then
+/// faults fresh memory in 2 MiB at a time instead of 4 KiB, and frees it
+/// as fast. Only a hint; where it is refused or unknown, nothing but speed
+/// changes.
+void advise_huge_pages([[maybe_unused]] const void* p,
+                       [[maybe_unused]] std::size_t bytes) {
+#ifdef MADV_HUGEPAGE
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  const long page = ::sysconf(_SC_PAGESIZE);
+  if (bytes < kHugePage || page <= 0) return;
+  const auto size = static_cast<std::uintptr_t>(page);
+  const auto first = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t begin = (first + size - 1) / size * size;
+  const std::uintptr_t end = (first + bytes) / size * size;
+  if (begin < end) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE);
+  }
+#endif
+}
+
+/// Reads a length-prefixed vector into `v`, replacing its contents. The
+/// declared length is checked against the payload budget, then `v`'s
+/// capacity reserved (and, when large, advised to use huge pages) but not
+/// touched: each block of about kTraceReadBlockBytes is read into the
+/// reader's staging block, with the budget, stream and checksum checks of
+/// BoundedReader::read, then appended to `v`, so fresh memory is written
+/// once, by the copy. visit(begin, end) runs on each block's element range
+/// right after it is appended, while it is still in cache.
 template <typename T, typename Visit>
 void read_vec(BoundedReader& in, std::vector<T>& v, Visit visit) {
   static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(sizeof(T) <= kTraceReadBlockBytes &&
+                alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
   std::uint64_t n = 0;
   read_pod(in, n);
   // Validate the declared length against the remaining payload budget
-  // before the resize: a bit-flipped length must not allocate petabytes.
+  // before the reserve: a bit-flipped length must not allocate petabytes.
   REPRO_CHECK_MSG(n <= in.remaining / sizeof(T),
                   "trace payload truncated: vector declares "
                       << n << " elements, " << in.remaining
                       << " bytes remain");
-  v.resize(n);
-  constexpr std::size_t kBlock =
-      std::max<std::size_t>(8, (std::size_t{1} << 20) / sizeof(T) / 8 * 8);
-  for (std::size_t begin = 0; begin < v.size(); begin += kBlock) {
-    const std::size_t end = std::min(v.size(), begin + kBlock);
-    in.read(reinterpret_cast<char*>(v.data() + begin),
-            (end - begin) * sizeof(T));
-    visit(begin, end);
+  v.clear();
+  v.reserve(n);
+  advise_huge_pages(v.data(), n * sizeof(T));
+  constexpr std::size_t kBlock = kTraceReadBlockBytes / sizeof(T);
+  const T* staged = reinterpret_cast<const T*>(in.staging.get());
+  while (v.size() < n) {
+    const std::size_t begin = v.size();
+    const std::size_t count = std::min<std::size_t>(kBlock, n - begin);
+    in.read(reinterpret_cast<char*>(in.staging.get()), count * sizeof(T));
+    v.insert(v.end(), staged, staged + count);
+    visit(begin, v.size());
   }
 }
 
@@ -163,8 +255,9 @@ void write_hist(HashingWriter& out, const Histogram& h) {
   write_vec(out, counts);
 }
 
-void read_hist(BoundedReader& in, Histogram& h) {
-  std::vector<std::uint64_t> counts;
+/// `counts` is scratch space, reused across calls.
+void read_hist(BoundedReader& in, Histogram& h,
+               std::vector<std::uint64_t>& counts) {
   read_vec(in, counts);
   REPRO_CHECK_MSG(counts.size() == h.bins(), "histogram shape mismatch");
   h.clear();
@@ -309,7 +402,7 @@ void save_trace(const Trace& trace, const SimConfig& config,
     }
     out.seekp(2 * sizeof(std::uint64_t));
     write_raw_u64(out, w.bytes);
-    write_raw_u64(out, w.sum.h);
+    write_raw_u64(out, w.sum.digest());
     out.flush();
     REPRO_CHECK_MSG(out.good(), "write to " << tmp << " failed");
   }
@@ -319,30 +412,46 @@ void save_trace(const Trace& trace, const SimConfig& config,
                                          << ec.message());
 }
 
-Trace read_trace(const SimConfig& config, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  REPRO_CHECK_MSG(in.good(), "cannot open trace file " << path);
+namespace {
+
+/// The fixed-size header at the start of every trace file, with the size
+/// of the file it was read from.
+struct Header {
+  std::uint64_t file_bytes = 0;
+  std::uint64_t magic = 0;
+  std::uint64_t fingerprint = 0;
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t payload_hash = 0;
+};
+
+/// Reads the header from the start of `in`, leaving the stream at the
+/// payload. A file shorter than the header is corrupt: CheckError.
+Header read_header(std::istream& in, const std::string& path) {
+  Header h;
   in.seekg(0, std::ios::end);
-  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  h.file_bytes = static_cast<std::uint64_t>(in.tellg());
   in.seekg(0);
-  REPRO_CHECK_MSG(file_bytes >= kHeaderBytes,
-                  "trace file " << path << " truncated: " << file_bytes
+  REPRO_CHECK_MSG(in.good(), "cannot read trace file " << path);
+  REPRO_CHECK_MSG(h.file_bytes >= kHeaderBytes,
+                  "trace file " << path << " truncated: " << h.file_bytes
                                 << " bytes, header needs " << kHeaderBytes);
-  const std::uint64_t magic = read_raw_u64(in);
-  const std::uint64_t fp = read_raw_u64(in);
-  const std::uint64_t payload_bytes = read_raw_u64(in);
-  const std::uint64_t payload_hash = read_raw_u64(in);
-  REPRO_CHECK_MSG(magic == kMagic,
-                  "trace file " << path
-                                << " version mismatch (expected TRACEv06)");
-  REPRO_CHECK_MSG(fp == config_fingerprint(config),
-                  "trace file " << path
-                                << " was generated from a different SimConfig"
-                                   " (fingerprint mismatch)");
-  REPRO_CHECK_MSG(file_bytes == kHeaderBytes + payload_bytes,
+  h.magic = read_raw_u64(in);
+  h.fingerprint = read_raw_u64(in);
+  h.payload_bytes = read_raw_u64(in);
+  h.payload_hash = read_raw_u64(in);
+  REPRO_CHECK_MSG(in.good(), "trace file " << path << " header unreadable");
+  return h;
+}
+
+/// Strict read of the payload that follows a current header (magic and
+/// fingerprint already checked) on `in`.
+Trace read_payload(const SimConfig& config, const std::string& path,
+                   std::istream& in, const Header& header) {
+  const std::uint64_t payload_bytes = header.payload_bytes;
+  REPRO_CHECK_MSG(header.file_bytes == kHeaderBytes + payload_bytes,
                   "trace file " << path << " truncated: header declares "
                                 << payload_bytes << " payload bytes, file has "
-                                << file_bytes - kHeaderBytes);
+                                << header.file_bytes - kHeaderBytes);
 
   // The catalog is regenerated deterministically from the config exactly
   // as the simulator would (see Simulator's constructor).
@@ -380,11 +489,12 @@ Trace read_trace(const SimConfig& config, const std::string& path) {
   read_pod(r, n);
   REPRO_CHECK_MSG(n == trace.period_hists.size(),
                   "trace file " << path << " histogram-count mismatch");
+  std::vector<std::uint64_t> counts;
   for (auto& h : trace.period_hists) {
-    read_hist(r, h.temp_free);
-    read_hist(r, h.temp_affected);
-    read_hist(r, h.power_free);
-    read_hist(r, h.power_affected);
+    read_hist(r, h.temp_free, counts);
+    read_hist(r, h.temp_affected, counts);
+    read_hist(r, h.power_free, counts);
+    read_hist(r, h.power_affected, counts);
   }
   read_pod(r, n);
   REPRO_CHECK_MSG(n <= r.remaining / sizeof(topo::NodeId),
@@ -405,7 +515,7 @@ Trace read_trace(const SimConfig& config, const std::string& path) {
   // The checksum is the last word: only now do we know every byte matched
   // what save_trace produced, so the SBE events below satisfy the strict
   // log invariants (they were valid when written).
-  REPRO_CHECK_MSG(r.sum.h == payload_hash,
+  REPRO_CHECK_MSG(r.sum.digest() == header.payload_hash,
                   "trace file " << path
                                 << " checksum mismatch (bit corruption)");
   REPRO_CHECK_MSG(ordered, "trace file " << path
@@ -414,23 +524,40 @@ Trace read_trace(const SimConfig& config, const std::string& path) {
   return trace;
 }
 
+}  // namespace
+
+Trace read_trace(const SimConfig& config, const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  REPRO_CHECK_MSG(in.good(), "cannot open trace file " << path);
+  const Header header = read_header(in, path);
+  REPRO_CHECK_MSG(header.magic == kMagic,
+                  "trace file " << path
+                                << " version mismatch (expected TRACEv07)");
+  REPRO_CHECK_MSG(header.fingerprint == config_fingerprint(config),
+                  "trace file " << path
+                                << " was generated from a different SimConfig"
+                                   " (fingerprint mismatch)");
+  return read_payload(config, path, in, header);
+}
+
 std::optional<Trace> load_trace(const SimConfig& config,
                                 const std::string& path) {
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe.good()) return std::nullopt;  // no cache entry: silent miss
+  OBS_SPAN("sim.trace_cache_load");
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return std::nullopt;  // no cache entry: silent miss
+  try {
+    const Header header = read_header(in, path);
     // Stale entries (old format version or a different config) are normal
-    // cache misses, not corruption — classify before the strict read.
-    const std::uint64_t magic = read_raw_u64(probe);
-    const std::uint64_t fp = read_raw_u64(probe);
-    if (!probe.good() || magic != kMagic ||
-        fp != config_fingerprint(config)) {
+    // cache misses, not corruption. A file too short to hold a header is
+    // corrupt: read_header throws, and it is rejected below.
+    if (header.magic != kMagic ||
+        header.fingerprint != config_fingerprint(config)) {
       OBS_COUNT("ingest.trace_cache_stale");
       return std::nullopt;
     }
-  }
-  try {
-    return read_trace(config, path);
+    Trace trace = read_payload(config, path, in, header);
+    OBS_COUNT_ADD("sim.trace_cache_load_bytes", header.file_bytes);
+    return trace;
   } catch (const CheckError& e) {
     std::fprintf(stderr, "[ingest] rejecting corrupt trace file %s: %s\n",
                  path.c_str(), e.what());
@@ -449,12 +576,9 @@ std::string cache_path(const SimConfig& config, const std::string& cache_dir) {
 Trace cached_simulate(const SimConfig& config, const std::string& cache_dir) {
   std::filesystem::create_directories(cache_dir);
   const std::string path = cache_path(config, cache_dir);
-  {
-    OBS_SPAN("sim.trace_cache_load");
-    if (auto loaded = load_trace(config, path)) {
-      OBS_COUNT("sim.trace_cache_hits");
-      return std::move(*loaded);
-    }
+  if (auto loaded = load_trace(config, path)) {
+    OBS_COUNT("sim.trace_cache_hits");
+    return std::move(*loaded);
   }
   OBS_COUNT("sim.trace_cache_misses");
   Trace trace = simulate(config);
