@@ -1,11 +1,12 @@
-// Shared infrastructure for the experiment-reproduction benches.
+// Shared infrastructure of the experiment driver (bench/repro_bench.cpp):
+// the BENCH_<id>.json artifact writer and the experiment context.
 //
-// Every bench consumes the same "paper trace": a 102-day trace of the
+// Every experiment consumes the same "paper trace": a 102-day trace of the
 // scaled Titan (25x8 cabinets, 1,600 nodes) with machine drift starting at
 // day 88 so that the DS3 test window (days 88-102) is post-drift, exactly
 // the hardest-dataset structure of Table II. The trace is simulated once
-// and cached on disk (bench_cache/ in the working directory); later
-// benches load it in under a second.
+// and cached on disk (bench_cache/ in the working directory); later runs
+// load it in under a second.
 #pragma once
 
 #include <chrono>
@@ -14,12 +15,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "core/evaluation.hpp"
+#include "core/baselines.hpp"
 #include "core/sample_index.hpp"
 #include "core/splits.hpp"
 #include "core/two_stage.hpp"
@@ -29,13 +32,6 @@
 namespace repro::bench {
 
 inline constexpr std::int64_t kPaperDays = 102;
-
-/// Whether the last paper_trace() call loaded from the disk cache (true)
-/// or had to simulate (false). Meaningful only after paper_trace() ran.
-inline bool& paper_trace_cache_hit() {
-  static bool hit = false;
-  return hit;
-}
 
 /// JSON string escaping for BenchJson keys and values (quotes, backslashes,
 /// and control characters — enough for the identifiers and paths we emit).
@@ -65,10 +61,9 @@ inline std::string bench_json_escape(const std::string& s) {
 /// Machine-readable bench artifact: accumulates key/value metrics and
 /// writes `BENCH_<name>.json` into the working directory on write().
 /// Dotted keys ("gbdt.fit_seconds") are kept flat; consumers split on '.'.
-/// write() stamps wall-clock since construction, the effective thread
-/// count, and whether the paper trace came from the disk cache, merges the
-/// obs metrics snapshot under an "obs." prefix, and honors REPRO_TRACE so
-/// perf trajectories can be compared run-over-run.
+/// write() stamps wall-clock since construction and the effective thread
+/// count, merges the obs metrics snapshot under an "obs." prefix, and
+/// honors REPRO_TRACE so perf trajectories can be compared run-over-run.
 ///
 /// Integer metrics go through set_int: a bare integral argument to set()
 /// was ambiguous between the size_t, bool, and double overloads (all one
@@ -132,8 +127,6 @@ class BenchJson {
       std::ofstream out(tmp, std::ios::trunc);
       out << "{\n  \"bench\": \"" << bench_json_escape(name_) << "\",\n";
       out << "  \"threads\": " << parallel_threads() << ",\n";
-      out << "  \"trace_cache_hit\": "
-          << (paper_trace_cache_hit() ? "true" : "false") << ",\n";
       char wall_buf[64];
       std::snprintf(wall_buf, sizeof(wall_buf), "%.3f", wall);
       out << "  \"wall_seconds\": " << wall_buf;
@@ -175,33 +168,83 @@ inline sim::SimConfig paper_config() {
   return cfg;
 }
 
-inline const sim::Trace& paper_trace() {
-  static const sim::Trace trace = [] {
-    std::fprintf(stderr,
-                 "[bench] loading/simulating the 102-day scaled-Titan trace "
-                 "(cache: bench_cache/)...\n");
-    paper_trace_cache_hit() =
-        std::filesystem::exists(sim::cache_path(paper_config(), "bench_cache"));
-    return sim::cached_simulate(paper_config(), "bench_cache");
-  }();
-  return trace;
-}
+/// What the experiments share: one trace, its train/test splits, Basic A
+/// per split and a grid of TwoStage runs keyed on (split, whole config).
+/// Each cell is computed on first request, one at a time with the whole
+/// thread pool, so a run's train_seconds always means "this fit ran
+/// alone", whichever experiment asked first.
+class Context {
+ public:
+  Context(sim::SimConfig config, std::vector<core::SplitSpec> splits,
+          std::string cache_dir)
+      : config_(std::move(config)),
+        splits_(std::move(splits)),
+        cache_dir_(std::move(cache_dir)) {
+    // Run quality (TwoStageRun::quality) and the cache-hit flag below are
+    // only recorded with obs metrics on.
+    obs::set_enabled(true);
+  }
 
-/// The paper's three sliding train/test dataset pairs, scaled to the trace.
-inline std::vector<core::SplitSpec> paper_splits() {
-  return core::SplitSpec::sliding(kPaperDays);
-}
+  [[nodiscard]] const sim::SimConfig& config() const { return config_; }
+  [[nodiscard]] const std::vector<core::SplitSpec>& splits() const {
+    return splits_;
+  }
 
-inline void banner(const char* experiment, const char* title,
-                   const char* paper_expectation) {
-  std::printf(
-      "================================================================\n"
-      "%s — %s\n"
-      "Paper expectation: %s\n"
-      "Config: 25x8 cabinets x 8 nodes (1,600 GPUs), %lld days, seed 42\n"
-      "================================================================\n",
-      experiment, title, paper_expectation,
-      static_cast<long long>(kPaperDays));
-}
+  /// The trace, loaded from the disk cache or simulated and cached there.
+  const sim::Trace& trace() {
+    if (!trace_) {
+      std::fprintf(stderr, "[bench] loading/simulating the %lld-day trace "
+                   "(cache: %s/)...\n",
+                   static_cast<long long>(config_.days), cache_dir_.c_str());
+      obs::Counter& hits = obs::counter("sim.trace_cache_hits");
+      const std::uint64_t before = hits.value();
+      trace_.emplace(sim::cached_simulate(config_, cache_dir_));
+      cache_hit_ = hits.value() > before;
+    }
+    return *trace_;
+  }
+  /// Whether trace() was served by a valid cache entry. A stale or
+  /// corrupt entry at the cache path is a miss.
+  [[nodiscard]] bool trace_cache_hit() const { return cache_hit_; }
+
+  /// Basic A (Sec. VI-B) trained on split `s`, evaluated on its test window.
+  const ml::ClassMetrics& basic_a(std::size_t s) {
+    auto it = basic_a_.find(s);
+    if (it == basic_a_.end()) {
+      const sim::Trace& t = trace();
+      const auto idx = core::samples_in(t, splits_.at(s).test);
+      core::BasicScheme scheme(core::BasicKind::kBasicA);
+      scheme.train(t, splits_[s].train);
+      it = basic_a_.emplace(s, core::evaluate_predictions(
+                                   t, idx, scheme.predict(t, idx)))
+               .first;
+    }
+    return it->second;
+  }
+
+  /// TwoStage trained on split `s` with `config`, scored on its test window.
+  const core::TwoStageRun& run(std::size_t s,
+                               const core::TwoStageConfig& config = {}) {
+    const std::pair key{s, config};
+    auto it = runs_.find(key);
+    if (it == runs_.end()) {
+      const core::SplitSpec& split = splits_.at(s);
+      it = runs_.emplace(key, core::run_two_stage(trace(), config,
+                                                  split.train, split.test))
+               .first;
+    }
+    return it->second;
+  }
+
+ private:
+  sim::SimConfig config_;
+  std::vector<core::SplitSpec> splits_;
+  std::string cache_dir_;
+  std::optional<sim::Trace> trace_;
+  bool cache_hit_ = false;
+  std::map<std::size_t, ml::ClassMetrics> basic_a_;
+  std::map<std::pair<std::size_t, core::TwoStageConfig>, core::TwoStageRun>
+      runs_;
+};
 
 }  // namespace repro::bench

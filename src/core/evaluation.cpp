@@ -2,37 +2,10 @@
 
 #include <algorithm>
 
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
-#include "obs/obs.hpp"
 #include "topology/topology.hpp"
 
 namespace repro::core {
-
-std::vector<SweepCell> two_stage_sweep(const sim::Trace& trace,
-                                       std::span<const SplitSpec> splits,
-                                       std::span<const ml::ModelKind> models,
-                                       const TwoStageConfig& base) {
-  const std::size_t cells = splits.size() * models.size();
-  std::vector<SweepCell> out(cells);
-  // Each cell trains and evaluates an independent predictor; cells only
-  // write their own slot, so fanning them out cannot change any result.
-  parallel_for(cells, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      OBS_SPAN("evaluation.sweep_cell");
-      OBS_COUNT("evaluation.sweep_cells");
-      SweepCell& cell = out[c];
-      cell.split = c / models.size();
-      cell.model = models[c % models.size()];
-      TwoStageConfig config = base;
-      config.model = cell.model;
-      const SplitSpec& split = splits[cell.split];
-      cell.run = run_two_stage(trace, config, split.train, split.test);
-    }
-  });
-  if (!out.empty()) publish(out.back().run);
-  return out;
-}
 
 std::vector<double> CabinetCounts::differences() const {
   std::vector<double> out(ground_truth.size());

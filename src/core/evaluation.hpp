@@ -14,25 +14,6 @@
 
 namespace repro::core {
 
-/// One cell of a split x model sweep (two_stage_sweep below).
-struct SweepCell {
-  std::size_t split = 0;  ///< index into the splits span
-  ml::ModelKind model{};
-  TwoStageRun run;
-};
-
-/// Runs run_two_stage once per (split, model) pair, fanning the
-/// independent cells across the thread pool; each run's own inner
-/// parallelism then runs inline on the worker. `base` supplies
-/// features/threshold/seed, with the model field overridden per cell.
-/// Results are split-major, in deterministic order. After the fan-out the
-/// last cell's run is published (see publish), so the audit gauges never
-/// depend on which cell finished last.
-std::vector<SweepCell> two_stage_sweep(const sim::Trace& trace,
-                                       std::span<const SplitSpec> splits,
-                                       std::span<const ml::ModelKind> models,
-                                       const TwoStageConfig& base);
-
 /// Per-cabinet counts of SBE-affected samples: ground truth, predicted
 /// (TP + FP), and true positives (Fig 13).
 struct CabinetCounts {

@@ -13,6 +13,7 @@
 // missed; periodic retraining (see run_retraining) keeps that loss small.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -37,6 +38,9 @@ struct TwoStageConfig {
   double undersample_ratio = 0.0;
   float threshold = 0.5f;
   std::uint64_t seed = 1234;
+
+  /// Field-wise, so a config can key a memo of runs.
+  auto operator<=>(const TwoStageConfig&) const = default;
 };
 
 class TwoStagePredictor {

@@ -26,6 +26,7 @@
 // CurPrev / CurNei / CurPrevNei), and the Fig 12 removal ablations.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -87,6 +88,8 @@ struct FeatureSpec {
   /// statistics with AR(2) forecasts computed from the telemetry observed
   /// BEFORE the run starts, so every feature is available a priori.
   bool forecast_current_run = false;
+
+  auto operator<=>(const FeatureSpec&) const = default;
 };
 
 /// Stateless (per trace) sample -> feature-vector mapper.

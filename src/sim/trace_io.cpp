@@ -28,6 +28,12 @@ namespace {
 // v07: the checksum became four interleaved lanes (see Checksum).
 constexpr std::uint64_t kMagic = 0x54524143'45763037ULL;  // "TRACEv07"
 
+// Seed of config_fingerprint. It is fixed, not kMagic: the cache file name
+// then survives a format bump, so cached_simulate finds the old entry,
+// load_trace counts it stale by its magic, and the new trace replaces it
+// instead of sitting beside it.
+constexpr std::uint64_t kFingerprintSeed = 0x54524143'45434647ULL;  // "TRACECFG"
+
 // magic + fingerprint + payload_bytes + payload_hash.
 constexpr std::uint64_t kHeaderBytes = 4 * sizeof(std::uint64_t);
 
@@ -143,7 +149,8 @@ struct BoundedReader {
 // The fingerprint below must fold EVERY generative field of SimConfig, or
 // two configs differing in an unfolded field would silently share a cache
 // entry. These size guards force whoever adds a field to revisit
-// config_fingerprint (and bump kMagic if the trace semantics change).
+// config_fingerprint (and bump kMagic, not kFingerprintSeed, if the trace
+// semantics change).
 static_assert(sizeof(topo::SystemConfig) == 5 * sizeof(std::int32_t),
               "SystemConfig changed: update config_fingerprint");
 static_assert(sizeof(workload::CatalogParams) ==
@@ -286,7 +293,7 @@ static_assert(std::is_trivially_copyable_v<faults::SbeEvent>);
 }  // namespace
 
 std::uint64_t config_fingerprint(const SimConfig& c) {
-  std::uint64_t h = kMagic;
+  std::uint64_t h = kFingerprintSeed;
   fold(h, "gx", c.system.grid_x);
   fold(h, "gy", c.system.grid_y);
   fold(h, "cpc", c.system.cages_per_cabinet);

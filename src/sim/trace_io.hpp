@@ -1,9 +1,10 @@
 // Binary trace caching.
 //
 // A full-scale trace takes the better part of a minute to simulate; the
-// bench suite consumes the same trace in a dozen binaries. cached_simulate()
-// keys a cache file on a fingerprint of the SimConfig, so the first bench
-// pays the simulation cost and the rest load in well under a second.
+// experiment driver and the benchmark consume the same trace run after
+// run. cached_simulate() keys a cache file on a fingerprint of the
+// SimConfig, so the first run pays the simulation cost and the rest load
+// in well under a second.
 //
 // The format is a local cache, not an interchange format: it is
 // endianness/ABI-naive by design and guarded by a fingerprint + version
@@ -54,7 +55,9 @@ Trace read_trace(const SimConfig& config, const std::string& path);
 std::optional<Trace> load_trace(const SimConfig& config,
                                 const std::string& path);
 
-/// Cache file path cached_simulate() would use for this config.
+/// Cache file path cached_simulate() would use for this config. It depends
+/// on the config alone, not on the format version, so an entry in an older
+/// format is found, counted stale and replaced in place.
 std::string cache_path(const SimConfig& config, const std::string& cache_dir);
 
 /// load_trace or simulate-and-save. `cache_dir` must exist or be creatable.

@@ -23,13 +23,12 @@
 #include "ml/logistic_regression.hpp"
 #include "ml/metrics.hpp"
 #include "obs/obs.hpp"
-#include "support/json_parser.hpp"
+#include "json_parser.hpp"
 #include "support/test_trace.hpp"
 
 namespace repro {
 namespace {
 
-using repro::testing::JsonParser;
 using repro::testing::shared_tiny_trace;
 
 class AuditTest : public ::testing::Test {
@@ -446,11 +445,11 @@ TEST_F(AuditTest, PredictorWritesNoGaugesAndPublishWritesTheRun) {
 }
 
 TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
-  // Sweep cells run concurrently; the audit gauges must still come from one
-  // fixed cell, so the whole snapshot (minus wall-clock seconds and the
-  // pool's region-span call counts) matches across thread counts. The GBDT
-  // fit's spans open once per tree, build, scan or level, never per
-  // chunk, so their call counts match too.
+  // A serial sweep of cells, each fit using the whole pool and published
+  // after it ran: the whole snapshot (minus wall-clock seconds and the
+  // pool's region-span call counts) matches across thread counts, gauges
+  // included. The GBDT fit's spans open once per tree, build, scan or
+  // level, never per chunk, so their call counts match too.
   const sim::Trace& trace = shared_tiny_trace();
   const auto splits = core::SplitSpec::sliding(30, 15, 7, 4, 2);
   const std::vector<ml::ModelKind> models = {
@@ -459,7 +458,12 @@ TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
     obs::reset();
     obs::set_enabled(true);
     set_parallel_threads(threads);
-    (void)core::two_stage_sweep(trace, splits, models, {});
+    for (const core::SplitSpec& split : splits) {
+      for (const ml::ModelKind model : models) {
+        core::publish(
+            core::run_two_stage(trace, {.model = model}, split.train, split.test));
+      }
+    }
     std::vector<std::pair<std::string, double>> kept;
     for (const obs::Metric& m : obs::snapshot()) {
       if (!m.key.ends_with("_seconds") &&

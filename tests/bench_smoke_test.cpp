@@ -1,12 +1,21 @@
 // Tier-1 bench smoke (ctest label: bench_smoke): one downsized Table III
 // split through the full two-stage pipeline with the histogram GBDT
-// engine. Not a timing benchmark — it exists so trainer regressions
-// (crashes, metric collapses, empty stage-2 sets) fail the default test
-// suite instead of waiting for a manual bench/bench_table3 run.
+// engine, plus the experiment driver's Context (bench/support). Not a
+// timing benchmark: it exists so trainer regressions (crashes, metric
+// collapses, empty stage-2 sets) fail the default test suite instead of
+// waiting for a manual repro_bench run.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "core/splits.hpp"
 #include "core/two_stage.hpp"
+#include "json_parser.hpp"
+#include "sim/simulator.hpp"
+#include "sim/trace_io.hpp"
+#include "support/bench_common.hpp"
 #include "support/test_trace.hpp"
 
 namespace repro::core {
@@ -33,6 +42,67 @@ TEST(BenchSmoke, GbdtTrainsDownsizedTable3Split) {
   EXPECT_GT(metrics.positive.f1, 0.3);
   EXPECT_GT(metrics.positive.recall, 0.3);
   EXPECT_GT(metrics.positive.precision, 0.3);
+}
+
+/// A fresh cache directory under the test temp dir.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(BenchContext, CellRequestedByTwoExperimentsIsFittedOnce) {
+  // Fig 13 asks for the DS1 default cell and Fig 11 for DS1 "All
+  // features", which is the same config: the grid fits it once.
+  sim::SimConfig config = sim::SimConfig::testing(30, 11);
+  config.faults.node_offender_fraction = 0.15;
+  config.faults.base_rate_per_min = 2.0e-3;
+  bench::Context ctx(config, SplitSpec::sliding(30, 15, 7, 4, 2),
+                     fresh_dir("bench_context_grid"));
+  const obs::Timer& fits = obs::timer("two_stage.stage2_fit");
+  const std::uint64_t before = fits.calls();
+  const TwoStageRun& fig13 = ctx.run(0);
+  EXPECT_EQ(fits.calls(), before + 1);
+  const TwoStageRun& fig11 =
+      ctx.run(0, {.features = {.mask = features::kAllFeatures}});
+  EXPECT_EQ(&fig11, &fig13);
+  EXPECT_EQ(fits.calls(), before + 1);
+  // A different model, or the same model on another split, is a new cell.
+  (void)ctx.run(0, {.model = ml::ModelKind::kLogisticRegression});
+  (void)ctx.run(1);
+  EXPECT_EQ(fits.calls(), before + 3);
+  // The context turns obs metrics on, so every cell carries its quality.
+  EXPECT_TRUE(fig13.quality.valid);
+}
+
+TEST(BenchContext, StaleCacheEntryIsNotReportedAsAHit) {
+  const sim::SimConfig config = sim::SimConfig::testing(2, 93);
+  const std::string dir = fresh_dir("bench_context_stale");
+  const std::string path = sim::cache_path(config, dir);
+  sim::save_trace(sim::simulate(config), config, path);
+  {
+    // Stamp the previous format's magic ("TRACEv06") over the header.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint64_t old_magic = 0x54524143'45763036ULL;
+    f.write(reinterpret_cast<const char*>(&old_magic), sizeof(old_magic));
+  }
+  // What the driver writes: the artifact's flag after the context's load.
+  const auto artifact_hit = [&] {
+    bench::Context ctx(config, {}, dir);
+    (void)ctx.trace();
+    bench::BenchJson json("bench_context_stale");
+    json.set("trace_cache_hit", ctx.trace_cache_hit());
+    const std::string written = json.write();
+    std::stringstream text;
+    text << std::ifstream(written).rdbuf();
+    std::filesystem::remove(written);
+    JsonParser parser(text.str());
+    EXPECT_TRUE(parser.parse()) << text.str();
+    return parser.flat.at("trace_cache_hit");
+  };
+  EXPECT_EQ(artifact_hit(), "false");  // a stale entry sits at the path
+  EXPECT_EQ(artifact_hit(), "true");   // the resimulated trace replaced it
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -554,7 +555,7 @@ TEST_F(TraceFileFuzz, VersionMismatchReadsAsStaleNotCorrupt) {
 
 TEST_F(TraceFileFuzz, PreviousVersionIsStaleAndResimulatedOnce) {
   // A cache entry in the previous format (TRACEv06) is a normal miss:
-  // counted stale, not rejected, and cached_simulate replaces it.
+  // counted stale, not rejected, and cached_simulate replaces it in place.
   const MetricsOn metrics;
   const std::string dir = ::testing::TempDir() + "repro_inject_cache_" +
                           std::to_string(::getpid());
@@ -574,6 +575,10 @@ TEST_F(TraceFileFuzz, PreviousVersionIsStaleAndResimulatedOnce) {
   ASSERT_TRUE(reloaded.has_value());
   EXPECT_TRUE(same_records(reloaded->samples, trace.samples));
   EXPECT_EQ(counter_value("ingest.trace_file_rejected"), 0u);
+  // The new trace replaced the stale entry instead of sitting beside it.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
   std::filesystem::remove_all(dir);
 }
 

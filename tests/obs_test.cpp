@@ -18,13 +18,12 @@
 #include "core/two_stage.hpp"
 #include "obs/obs.hpp"
 #include "support/bench_common.hpp"
-#include "support/json_parser.hpp"
+#include "json_parser.hpp"
 #include "support/test_trace.hpp"
 
 namespace repro {
 namespace {
 
-using repro::testing::JsonParser;
 using repro::testing::shared_tiny_trace;
 
 // --- fixture ------------------------------------------------------------------

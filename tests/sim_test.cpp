@@ -328,6 +328,15 @@ TEST(TraceIo, RejectsMismatchedConfig) {
   EXPECT_NE(config_fingerprint(cfg), config_fingerprint(other));
 }
 
+TEST(TraceIo, CachePathIsPinnedAcrossFormatVersions) {
+  // The cache file name depends on the config alone, not on the format
+  // version: a format bump finds the old entry at the same path, where
+  // load_trace counts it stale by its magic and cached_simulate replaces
+  // it. Change this literal only when a SimConfig field changes.
+  EXPECT_EQ(cache_path(SimConfig::testing(), "cache"),
+            "cache/trace_044af67f986347f3.bin");
+}
+
 TEST(TraceIo, CachedSimulateHitsCache) {
   SimConfig cfg = SimConfig::testing(2, 91);
   const std::string dir = ::testing::TempDir() + "trace_cache";

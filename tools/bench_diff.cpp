@@ -10,16 +10,13 @@
 //   * eval metrics — last dot-segment f1/precision/recall/accuracy/auc
 //     (higher is better) or brier/ece (lower is better). Any worsening
 //     beyond 1e-9 is a regression: eval numbers are deterministic for a
-//     fixed seed, so they must not move at all. Keys containing "baseline"
-//     are skipped (they describe the comparison floor, not the model).
+//     fixed seed, so they must not move at all.
 //   * perf metrics — keys ending in "_seconds". A regression is
 //     new > old * (1 + tolerance); default tolerance 25%, settable via
 //     --perf-tolerance (percent) to absorb machine-to-machine noise.
 //
 // Exit codes: 0 no regression ("no eval regression" printed), 1 at least
 // one regression, 2 usage or parse error.
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,18 +27,16 @@
 #include <string>
 #include <vector>
 
+#include "json_parser.hpp"
+
 namespace {
 
 constexpr double kEvalEpsilon = 1e-9;
 
-struct FlatJson {
-  std::map<std::string, double> numbers;
-  std::map<std::string, std::string> others;  // strings/bools/null, verbatim
-};
-
-/// Minimal parser for the flat scalar-object subset BenchJson emits.
-/// Returns std::nullopt (with a message on stderr) on anything else.
-std::optional<FlatJson> parse_flat_json(const std::string& path) {
+/// The top-level numbers of a BenchJson artifact (one flat object of
+/// scalars), or std::nullopt with a message on stderr for anything else.
+std::optional<std::map<std::string, double>> read_numbers(
+    const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench_diff: cannot open %s\n", path.c_str());
@@ -49,88 +44,21 @@ std::optional<FlatJson> parse_flat_json(const std::string& path) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-  };
-  const auto fail = [&](const char* what) -> std::optional<FlatJson> {
-    std::fprintf(stderr, "bench_diff: %s: %s at byte %zu\n", path.c_str(),
-                 what, i);
-    return std::nullopt;
-  };
-  const auto parse_string = [&]() -> std::optional<std::string> {
-    if (i >= text.size() || text[i] != '"') return std::nullopt;
-    ++i;
-    std::string out;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) {
-        const char esc = text[i + 1];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': out += '?'; i += 4; break;  // identifiers never need it
-          default: out += esc;
-        }
-        i += 2;
-      } else {
-        out += text[i++];
-      }
-    }
-    if (i >= text.size()) return std::nullopt;
-    ++i;  // closing quote
-    return out;
-  };
-
-  FlatJson doc;
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') return fail("expected '{'");
-  ++i;
-  skip_ws();
-  if (i < text.size() && text[i] == '}') return doc;  // empty object
-  while (true) {
-    skip_ws();
-    const auto key = parse_string();
-    if (!key) return fail("expected string key");
-    skip_ws();
-    if (i >= text.size() || text[i] != ':') return fail("expected ':'");
-    ++i;
-    skip_ws();
-    if (i >= text.size()) return fail("truncated value");
-    if (text[i] == '"') {
-      const auto value = parse_string();
-      if (!value) return fail("unterminated string value");
-      doc.others[*key] = "\"" + *value + "\"";
-    } else if (text[i] == '{' || text[i] == '[') {
-      return fail("nested values are not BenchJson");
-    } else {
-      // number / true / false / null: scan the bare token.
-      const std::size_t start = i;
-      while (i < text.size() && text[i] != ',' && text[i] != '}' &&
-             !std::isspace(static_cast<unsigned char>(text[i]))) {
-        ++i;
-      }
-      const std::string token = text.substr(start, i - start);
-      char* end = nullptr;
-      const double v = std::strtod(token.c_str(), &end);
-      if (end != nullptr && *end == '\0' && end != token.c_str()) {
-        doc.numbers[*key] = v;
-      } else {
-        doc.others[*key] = token;  // true/false/null
-      }
-    }
-    skip_ws();
-    if (i < text.size() && text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < text.size() && text[i] == '}') return doc;
-    return fail("expected ',' or '}'");
+  repro::JsonParser doc(buffer.str());
+  const char* error = nullptr;
+  if (!doc.parse()) {
+    error = "malformed JSON";
+  } else if (doc.s[doc.s.find_first_not_of(" \t\r\n")] != '{') {
+    error = "expected '{'";
+  } else if (doc.nested) {
+    error = "nested values are not BenchJson";
   }
+  if (error != nullptr) {
+    std::fprintf(stderr, "bench_diff: %s: %s at byte %zu\n", path.c_str(),
+                 error, doc.i);
+    return std::nullopt;
+  }
+  return doc.numbers;
 }
 
 std::string last_segment(const std::string& key) {
@@ -140,7 +68,6 @@ std::string last_segment(const std::string& key) {
 
 /// +1: higher is better, -1: lower is better, 0: not an eval metric.
 int eval_direction(const std::string& key) {
-  if (key.find("baseline") != std::string::npos) return 0;
   const std::string leaf = last_segment(key);
   if (leaf == "f1" || leaf == "precision" || leaf == "recall" ||
       leaf == "accuracy" || leaf == "auc") {
@@ -179,16 +106,16 @@ int main(int argc, char** argv) {
   }
   if (paths.size() != 2) return usage();
 
-  const auto old_doc = parse_flat_json(paths[0]);
-  const auto new_doc = parse_flat_json(paths[1]);
+  const auto old_doc = read_numbers(paths[0]);
+  const auto new_doc = read_numbers(paths[1]);
   if (!old_doc || !new_doc) return 2;
 
   int regressions = 0;
   std::size_t eval_compared = 0;
   std::size_t perf_compared = 0;
-  for (const auto& [key, old_v] : old_doc->numbers) {
-    const auto it = new_doc->numbers.find(key);
-    if (it == new_doc->numbers.end()) continue;
+  for (const auto& [key, old_v] : *old_doc) {
+    const auto it = new_doc->find(key);
+    if (it == new_doc->end()) continue;
     const double new_v = it->second;
     if (const int dir = eval_direction(key); dir != 0) {
       ++eval_compared;
