@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -78,7 +77,7 @@ void set_pr(Keys& k, const std::string& prefix, const ml::PrMetrics& m) {
   k.set(prefix + ".recall", m.recall);
 }
 
-constexpr ml::ModelKind kModels[] = {
+const ml::ModelSpec kModels[] = {
     ml::ModelKind::kLogisticRegression, ml::ModelKind::kGbdt,
     ml::ModelKind::kSvm, ml::ModelKind::kNeuralNetwork};
 
@@ -350,16 +349,16 @@ Keys table1(Context& ctx) {
 Keys table3(Context& ctx) {
   Keys k;
   TextTable t({"Model", "stage-2 samples", "fit seconds"});
-  for (const auto kind :
+  for (const ml::ModelSpec& model :
        {ml::ModelKind::kLogisticRegression, ml::ModelKind::kGbdt,
         ml::ModelKind::kNeuralNetwork, ml::ModelKind::kSvm}) {
-    const core::TwoStageRun& run = ctx.run(0, {.model = kind});
-    const std::string name(ml::to_string(kind));
+    const core::TwoStageRun& run = ctx.run(0, {.model = model});
+    const std::string name(ml::to_string(model));
     k.set(name + ".fit_seconds", run.train_seconds);
     k.set(name + ".stage2_samples", run.stage2_size);
     t.add_row({name, fmt(k[name + ".stage2_samples"], 0),
                fmt(k[name + ".fit_seconds"], 2)});
-    if (kind == ml::ModelKind::kGbdt) {
+    if (model == ml::ModelKind::kGbdt) {
       // The paper's model is also evaluated on the DS1 test window: its
       // metrics and calibration, plus every audit gauge as obs.audit.*.
       set_pr(k, name, run.metrics.positive);
@@ -378,9 +377,9 @@ Keys fig10(Context& ctx) {
   set_pr(k, "BasicA", ctx.basic_a(0).positive);
   k.set("BasicA.train_seconds", 0.0);
   Rows rows = {{"Basic A", "BasicA"}};
-  for (const auto kind : kModels) {
-    const core::TwoStageRun& run = ctx.run(0, {.model = kind});
-    const std::string name(ml::to_string(kind));
+  for (const ml::ModelSpec& model : kModels) {
+    const core::TwoStageRun& run = ctx.run(0, {.model = model});
+    const std::string name(ml::to_string(model));
     set_pr(k, name, run.metrics.positive);
     k.set(name + ".train_seconds", run.train_seconds);
     rows.emplace_back(name, name);
@@ -397,9 +396,9 @@ Keys table2(Context& ctx) {
   for (std::size_t s = 0; s < ctx.splits().size(); ++s) {
     const std::string ds = ctx.splits()[s].name;
     k.set(ds + ".BasicA.f1", ctx.basic_a(s).positive.f1);
-    for (const auto kind : kModels) {
-      k.set(ds + "." + std::string(ml::to_string(kind)) + ".f1",
-            ctx.run(s, {.model = kind}).metrics.positive.f1);
+    for (const ml::ModelSpec& model : kModels) {
+      k.set(ds + "." + std::string(ml::to_string(model)) + ".f1",
+            ctx.run(s, {.model = model}).metrics.positive.f1);
     }
     rows.emplace_back(ds, ds);
   }
@@ -628,81 +627,35 @@ Keys ablation_twostage(Context& ctx) {
   return k;
 }
 
-/// P(SBE) on `test_idx` of a GBDT with the given shape inside TwoStage,
-/// stage 2 rebuilt by hand because TwoStageConfig carries no GBDT
-/// parameters. Stage-1 rejects score 0.
-std::vector<float> gbdt_scores(const sim::Trace& trace, const core::SplitSpec& split,
-                               const std::vector<std::size_t>& test_idx,
-                               std::size_t trees, std::size_t depth,
-                               double pos_weight) {
-  const features::FeatureExtractor fx(trace, {});
-  const auto mask = trace.sbe_log.offender_mask(0, split.train.end);
-  std::vector<std::size_t> train_idx;
-  for (const std::size_t i : core::samples_in(trace, split.train)) {
-    if (mask[static_cast<std::size_t>(trace.samples[i].node)]) {
-      train_idx.push_back(i);
-    }
-  }
-  ml::Dataset train = fx.build(train_idx);
-  ml::StandardScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_inplace(train.X);
-  ml::GradientBoostedTrees::Params params;
-  params.trees = trees;
-  params.max_depth = depth;
-  params.pos_weight = pos_weight;
-  ml::GradientBoostedTrees gbdt(params, 1234);
-  gbdt.fit(train);
-
-  std::vector<float> proba;
-  std::vector<float> row(fx.dim());
-  for (const std::size_t i : test_idx) {
-    const auto& s = trace.samples[i];
-    if (!mask[static_cast<std::size_t>(s.node)]) {
-      proba.push_back(0.0f);
-      continue;
-    }
-    fx.extract(s, row);
-    scaler.transform_row(row);
-    proba.push_back(gbdt.predict_proba(row));
-  }
-  return proba;
-}
-
+/// Each GBDT shape is one grid cell; "default" is the cell Fig 10 reads.
+/// The threshold rows re-threshold the default cell's scores, no refit.
 Keys ablation_gbdt(Context& ctx) {
-  const sim::Trace& trace = ctx.trace();
-  const core::SplitSpec& ds1 = ctx.splits()[0];
-  const auto test_idx = core::samples_in(trace, ds1.test);
-  struct Variant {
+  struct Shape {
     const char* name;
     const char* key;
-    std::size_t trees;
-    std::size_t depth;
-    double pos_weight;
-    float threshold;
+    ml::GradientBoostedTrees::Params params;
   };
-  const Variant variants[] = {
-      {"default (250/6/3.5/0.50)", "default", 250, 6, 3.5, 0.5f},
-      {"few trees (50)", "trees50", 50, 6, 3.5, 0.5f},
-      {"shallow (depth 3)", "depth3", 250, 3, 3.5, 0.5f},
-      {"unweighted (w=1)", "weight1", 250, 6, 1.0, 0.5f},
-      {"heavier weight (w=8)", "weight8", 250, 6, 8.0, 0.5f},
-      {"strict threshold (0.7)", "threshold70", 250, 6, 3.5, 0.7f},
-      {"loose threshold (0.3)", "threshold30", 250, 6, 3.5, 0.3f},
+  const Shape shapes[] = {
+      {"default (250/6/3.5/0.50)", "default", {}},
+      {"few trees (50)", "trees50", {.trees = 50}},
+      {"shallow (depth 3)", "depth3", {.max_depth = 3}},
+      {"unweighted (w=1)", "weight1", {.pos_weight = 1.0}},
+      {"heavier weight (w=8)", "weight8", {.pos_weight = 8.0}},
   };
-  // The threshold variants share the default model: one fit per shape.
-  std::map<std::tuple<std::size_t, std::size_t, double>, std::vector<float>> fits;
   Keys k;
   Rows rows;
-  for (const Variant& v : variants) {
-    auto [it, fresh] = fits.try_emplace({v.trees, v.depth, v.pos_weight});
-    if (fresh) {
-      it->second = gbdt_scores(trace, ds1, test_idx, v.trees, v.depth, v.pos_weight);
-    }
+  for (const Shape& shape : shapes) {
+    set_pr(k, shape.key, ctx.run(0, {.model = shape.params}).metrics.positive);
+    rows.emplace_back(shape.name, shape.key);
+  }
+  const core::TwoStageRun& run = ctx.run(0);
+  for (const auto& [name, key, threshold] :
+       {std::tuple{"strict threshold (0.7)", "threshold70", 0.7f},
+        std::tuple{"loose threshold (0.3)", "threshold30", 0.3f}}) {
     std::vector<ml::Label> pred;
-    for (const float p : it->second) pred.push_back(p >= v.threshold ? 1 : 0);
-    set_pr(k, v.key, core::evaluate_predictions(trace, test_idx, pred).positive);
-    rows.emplace_back(v.name, v.key);
+    for (const float p : run.proba) pred.push_back(p >= threshold ? 1 : 0);
+    set_pr(k, key, core::evaluate_predictions(ctx.trace(), run.idx, pred).positive);
+    rows.emplace_back(name, key);
   }
   std::printf("%s\n", table(k, {"Variant", "F1", "Precision", "Recall"}, rows,
                             {"f1", "precision", "recall"})

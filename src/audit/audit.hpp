@@ -102,7 +102,7 @@ void set_sink_path(const std::string& path);
 /// when training finishes, so every block of prediction records that
 /// follows is attributable to an exact configuration.
 struct Manifest {
-  std::string model;               ///< ml::to_string(ModelKind)
+  std::string model;               ///< ml::to_string(ModelSpec)
   std::uint64_t seed = 0;
   float threshold = 0.5f;
   std::size_t feature_dim = 0;

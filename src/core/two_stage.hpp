@@ -24,13 +24,14 @@
 #include "core/sample_index.hpp"
 #include "core/splits.hpp"
 #include "features/features.hpp"
-#include "ml/model.hpp"
+#include "ml/model_spec.hpp"
 #include "sim/trace.hpp"
 
 namespace repro::core {
 
 struct TwoStageConfig {
-  ml::ModelKind model = ml::ModelKind::kGbdt;
+  /// The stage-2 model, family and parameters (the paper's GBDT).
+  ml::ModelSpec model = ml::GradientBoostedTrees::Params{};
   features::FeatureSpec features{};
   /// 0 = keep stage-2 training data as-is (the paper's choice, since stage
   /// 1 already rebalances); > 0 = additionally undersample negatives to

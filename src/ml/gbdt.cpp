@@ -12,8 +12,6 @@
 
 namespace repro::ml {
 
-GradientBoostedTrees::GradientBoostedTrees(std::uint64_t seed) : GradientBoostedTrees(Params{}, seed) {}
-
 GradientBoostedTrees::GradientBoostedTrees(const Params& params, std::uint64_t seed)
     : params_(params), rng_(seed) {}
 

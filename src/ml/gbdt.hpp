@@ -54,8 +54,10 @@
 #pragma once
 
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -114,6 +116,9 @@ class FeatureBinner {
 class GradientBoostedTrees final : public Model {
  public:
   struct Params {
+    using Family = GradientBoostedTrees;
+    static constexpr std::string_view kName = "GBDT";
+
     std::size_t trees = 250;
     std::size_t max_depth = 6;     ///< at most kMaxDepth
     double learning_rate = 0.1;
@@ -123,13 +128,14 @@ class GradientBoostedTrees final : public Model {
     double subsample = 0.9;        ///< row subsample per tree
     double pos_weight = 3.5;       ///< positive-class weight (recall knob)
     std::size_t max_bins = 255;
+
+    auto operator<=>(const Params&) const = default;
   };
 
   /// Deepest max_depth fit() accepts: a padded tree of depth d stores
   /// 2^(d+1) - 1 slots, so the layout's size doubles with every level.
   static constexpr std::size_t kMaxDepth = 12;
 
-  explicit GradientBoostedTrees(std::uint64_t seed = 1234);
   explicit GradientBoostedTrees(const Params& params,
                                 std::uint64_t seed = 1234);
 
@@ -137,9 +143,6 @@ class GradientBoostedTrees final : public Model {
   [[nodiscard]] float predict_proba(std::span<const float> x) const override;
   [[nodiscard]] std::vector<float> predict_proba_many(
       const Matrix& X) const override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "GBDT";
-  }
 
   /// Path-based (Saabas) attribution: every node carries its own Newton
   /// value, and walking root -> leaf charges value(child) - value(parent)

@@ -7,8 +7,6 @@
 
 namespace repro::ml {
 
-LogisticRegression::LogisticRegression(std::uint64_t seed) : LogisticRegression(Params{}, seed) {}
-
 LogisticRegression::LogisticRegression(const Params& params, std::uint64_t seed)
     : params_(params), rng_(seed) {}
 

@@ -2,7 +2,9 @@
 // The paper's fastest/simplest model (Table III) and its linear baseline.
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -13,21 +15,22 @@ namespace repro::ml {
 class LogisticRegression final : public Model {
  public:
   struct Params {
+    using Family = LogisticRegression;
+    static constexpr std::string_view kName = "LR";
+
     std::size_t epochs = 12;
     std::size_t batch_size = 256;
     double learning_rate = 0.05;
     double l2 = 1e-4;
     double pos_weight = 1.0;  ///< weight multiplier for positive samples
+
+    auto operator<=>(const Params&) const = default;
   };
 
-  explicit LogisticRegression(std::uint64_t seed = 1234);
   explicit LogisticRegression(const Params& params, std::uint64_t seed = 1234);
 
   void fit(const Dataset& train) override;
   [[nodiscard]] float predict_proba(std::span<const float> x) const override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "LR";
-  }
 
   /// Linear attribution: contribution_f = weight_f * x_f, bias = intercept;
   /// bias + sum(contributions) is the exact pre-sigmoid logit.

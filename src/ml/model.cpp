@@ -1,12 +1,10 @@
 #include "ml/model.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/parallel.hpp"
-#include "ml/gbdt.hpp"
-#include "ml/logistic_regression.hpp"
-#include "ml/neural_network.hpp"
-#include "ml/svm.hpp"
+#include "ml/model_spec.hpp"
 
 namespace repro::ml {
 
@@ -71,31 +69,17 @@ Matrix StandardScaler::transform(const Matrix& X) const {
   return out;
 }
 
-std::string_view to_string(ModelKind kind) noexcept {
-  switch (kind) {
-    case ModelKind::kLogisticRegression: return "LR";
-    case ModelKind::kGbdt: return "GBDT";
-    case ModelKind::kSvm: return "SVM";
-    case ModelKind::kNeuralNetwork: return "NN";
-  }
-  return "?";
+std::string_view to_string(const ModelSpec& spec) noexcept {
+  return std::visit([](const auto& params) { return params.kName; }, spec);
 }
 
-std::unique_ptr<Model> make_model(ModelKind kind, std::uint64_t seed) {
-  switch (kind) {
-    case ModelKind::kLogisticRegression:
-      return std::make_unique<LogisticRegression>(LogisticRegression::Params{},
-                                                  seed);
-    case ModelKind::kGbdt:
-      return std::make_unique<GradientBoostedTrees>(
-          GradientBoostedTrees::Params{}, seed);
-    case ModelKind::kSvm:
-      return std::make_unique<Svm>(Svm::Params{}, seed);
-    case ModelKind::kNeuralNetwork:
-      return std::make_unique<NeuralNetwork>(NeuralNetwork::Params{}, seed);
-  }
-  REPRO_CHECK_MSG(false, "unknown model kind");
-  return nullptr;
+std::unique_ptr<Model> make_model(const ModelSpec& spec, std::uint64_t seed) {
+  return std::visit(
+      [seed](const auto& params) -> std::unique_ptr<Model> {
+        using Family = typename std::decay_t<decltype(params)>::Family;
+        return std::make_unique<Family>(params, seed);
+      },
+      spec);
 }
 
 }  // namespace repro::ml

@@ -1,12 +1,9 @@
 // Abstract two-class probabilistic classifier (Sec. VI-D): the interface
 // shared by Logistic Regression, GBDT, SVM and the neural network, plus the
-// standardizing scaler most of them need.
+// standardizing scaler most of them need. ml/model_spec.hpp builds them.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -23,8 +20,6 @@ class Model {
   /// P(y = 1 | x) for one feature row (width = training width).
   [[nodiscard]] virtual float predict_proba(
       std::span<const float> x) const = 0;
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// P(y = 1 | x) for every row of X. The default fans predict_proba over
   /// row chunks; models with cheaper batched inference (GBDT) override it.
@@ -70,14 +65,5 @@ class StandardScaler {
   std::vector<float> mean_;
   std::vector<float> std_;
 };
-
-/// The model families evaluated in the paper.
-enum class ModelKind { kLogisticRegression, kGbdt, kSvm, kNeuralNetwork };
-
-[[nodiscard]] std::string_view to_string(ModelKind kind) noexcept;
-
-/// Factory with the defaults used across the evaluation section.
-[[nodiscard]] std::unique_ptr<Model> make_model(ModelKind kind,
-                                                std::uint64_t seed = 1234);
 
 }  // namespace repro::ml

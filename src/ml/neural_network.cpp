@@ -9,8 +9,6 @@
 
 namespace repro::ml {
 
-NeuralNetwork::NeuralNetwork(std::uint64_t seed) : NeuralNetwork(Params{}, seed) {}
-
 NeuralNetwork::NeuralNetwork(const Params& params, std::uint64_t seed)
     : params_(params), rng_(seed) {}
 

@@ -2,7 +2,9 @@
 // hidden layers, sigmoid output, binary cross-entropy loss, mini-batch Adam.
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -13,22 +15,23 @@ namespace repro::ml {
 class NeuralNetwork final : public Model {
  public:
   struct Params {
+    using Family = NeuralNetwork;
+    static constexpr std::string_view kName = "NN";
+
     std::vector<std::size_t> hidden = {128, 64};
     std::size_t epochs = 40;
     std::size_t batch_size = 128;
     double learning_rate = 1e-3;
     double l2 = 1e-5;
     double pos_weight = 1.0;
+
+    auto operator<=>(const Params&) const = default;
   };
 
-  explicit NeuralNetwork(std::uint64_t seed = 1234);
   explicit NeuralNetwork(const Params& params, std::uint64_t seed = 1234);
 
   void fit(const Dataset& train) override;
   [[nodiscard]] float predict_proba(std::span<const float> x) const override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "NN";
-  }
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 

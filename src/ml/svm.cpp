@@ -10,8 +10,6 @@
 
 namespace repro::ml {
 
-Svm::Svm(std::uint64_t seed) : Svm(Params{}, seed) {}
-
 Svm::Svm(const Params& params, std::uint64_t seed)
     : params_(params), rng_(seed) {}
 

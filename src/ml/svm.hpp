@@ -11,7 +11,9 @@
 // Probabilities come from Platt scaling (a 1-D logistic fit on margins).
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -22,6 +24,9 @@ namespace repro::ml {
 class Svm final : public Model {
  public:
   struct Params {
+    using Family = Svm;
+    static constexpr std::string_view kName = "SVM";
+
     double gamma = 0.0;          ///< RBF width; 0 = 1/num_features heuristic
     double c = 1.0;              ///< SVM regularization tradeoff
     double pos_weight = 1.0;
@@ -31,16 +36,14 @@ class Svm final : public Model {
     std::size_t smo_max_passes = 3;      ///< sweeps without progress to stop
     std::size_t smo_max_iters = 150'000; ///< hard iteration cap
     std::uint64_t platt_iters = 200;
+
+    auto operator<=>(const Params&) const = default;
   };
 
-  explicit Svm(std::uint64_t seed = 1234);
   explicit Svm(const Params& params, std::uint64_t seed = 1234);
 
   void fit(const Dataset& train) override;
   [[nodiscard]] float predict_proba(std::span<const float> x) const override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "SVM";
-  }
 
   /// Raw decision value (valid after fit); > 0 predicts the SBE class.
   [[nodiscard]] float margin(std::span<const float> x) const;

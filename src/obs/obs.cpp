@@ -279,7 +279,7 @@ std::vector<Metric> snapshot() {
       out.push_back({name, static_cast<double>(v), v, true});
     }
     for (const auto& [name, g] : reg.gauges) {
-      out.push_back({name, g->value(), 0, false});
+      if (g->has_value()) out.push_back({name, g->value(), 0, false});
     }
     for (const auto& [name, t] : reg.timers) {
       out.push_back({name + "_seconds", t->seconds(), 0, false});

@@ -11,8 +11,9 @@
 //              values are thread-count invariant whenever the counted
 //              work is (see DESIGN.md §7).
 //   * Registry snapshot — a flat, key-sorted view of every counter,
-//              gauge, and timer (`<timer>_seconds` / `<timer>_calls`),
-//              merged into BENCH_<name>.json artifacts by BenchJson.
+//              every gauge set since the last reset, and every timer
+//              (`<timer>_seconds` / `<timer>_calls`), merged into
+//              BENCH_<name>.json artifacts by BenchJson.
 //
 // Everything is OFF by default. The hot-path cost of a disabled span or
 // counter is one relaxed atomic load and a branch: no clock reads, no
@@ -96,18 +97,28 @@ class Counter {
 };
 
 /// A named last-value gauge (e.g. a rate computed at the end of a phase).
+/// A gauge never set since the last reset has no value, not 0.
 class Gauge {
  public:
   void set(double v) noexcept {
-    if (enabled()) value_.store(v, std::memory_order_relaxed);
+    if (!enabled()) return;
+    value_.store(v, std::memory_order_relaxed);
+    has_value_.store(true, std::memory_order_relaxed);
   }
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
+  [[nodiscard]] bool has_value() const noexcept {
+    return has_value_.load(std::memory_order_relaxed);
+  }
+  void reset() noexcept {
+    value_.store(0.0, std::memory_order_relaxed);
+    has_value_.store(false, std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<double> value_{0.0};
+  std::atomic<bool> has_value_{false};
 };
 
 /// Aggregated duration of every span opened against this timer.
@@ -197,7 +208,8 @@ const char* intern(const std::string& name);
 void bind_worker(std::uint64_t worker_tid);
 
 /// One flattened metric for artifact export, sorted by key:
-/// counters (integral), gauges, and per-timer `_seconds` / `_calls`.
+/// counters (integral), gauges that have a value, and per-timer
+/// `_seconds` / `_calls`.
 struct Metric {
   std::string key;
   double value = 0.0;        ///< numeric value (counters cast too)

@@ -259,7 +259,7 @@ TEST_F(AuditTest, GbdtExplainSumsToExactLogit) {
 
 TEST_F(AuditTest, LrExplainSumsToExactLogit) {
   const ml::Dataset d = rule_dataset(1'000, 3, 23);
-  ml::LogisticRegression lr(5);
+  ml::LogisticRegression lr({}, 5);
   lr.fit(d);
   std::vector<double> contrib(3);
   for (std::size_t r = 0; r < 64; ++r) {
@@ -417,10 +417,8 @@ TEST_F(AuditTest, PredictorWritesNoGaugesAndPublishWritesTheRun) {
   const Interval test{day_start(20), day_start(30)};
   obs::set_enabled(true);
   const core::TwoStageRun run = core::run_two_stage(trace, {}, train, test);
-  // Gauges registered by earlier tests survive obs::reset() at zero.
-  for (const auto& [key, v] : gauges_of(obs::snapshot())) {
-    EXPECT_EQ(v, 0.0) << key << " written before publish";
-  }
+  // Gauges registered by earlier tests are unset after obs::reset().
+  EXPECT_TRUE(gauges_of(obs::snapshot()).empty());
   ASSERT_TRUE(run.quality.valid);
   ASSERT_TRUE(run.drift.valid);
 
@@ -452,14 +450,14 @@ TEST_F(AuditTest, SweepSnapshotIsThreadCountInvariantGaugesIncluded) {
   // level, never per chunk, so their call counts match too.
   const sim::Trace& trace = shared_tiny_trace();
   const auto splits = core::SplitSpec::sliding(30, 15, 7, 4, 2);
-  const std::vector<ml::ModelKind> models = {
+  const std::vector<ml::ModelSpec> models = {
       ml::ModelKind::kGbdt, ml::ModelKind::kLogisticRegression};
   const auto run = [&](std::size_t threads) {
     obs::reset();
     obs::set_enabled(true);
     set_parallel_threads(threads);
     for (const core::SplitSpec& split : splits) {
-      for (const ml::ModelKind model : models) {
+      for (const ml::ModelSpec& model : models) {
         core::publish(
             core::run_two_stage(trace, {.model = model}, split.train, split.test));
       }

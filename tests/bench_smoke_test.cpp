@@ -72,6 +72,16 @@ TEST(BenchContext, CellRequestedByTwoExperimentsIsFittedOnce) {
   (void)ctx.run(0, {.model = ml::ModelKind::kLogisticRegression});
   (void)ctx.run(1);
   EXPECT_EQ(fits.calls(), before + 3);
+  // A GBDT spec at default parameters is the default cell; a non-default
+  // one is a new cell, fitted once however often it is requested.
+  EXPECT_EQ(&ctx.run(0, {.model = ml::GradientBoostedTrees::Params{}}),
+            &fig13);
+  EXPECT_EQ(fits.calls(), before + 3);
+  const ml::GradientBoostedTrees::Params few_trees{.trees = 50};
+  const TwoStageRun& shape = ctx.run(0, {.model = few_trees});
+  EXPECT_NE(&shape, &fig13);
+  EXPECT_EQ(&ctx.run(0, {.model = few_trees}), &shape);
+  EXPECT_EQ(fits.calls(), before + 4);
   // The context turns obs metrics on, so every cell carries its quality.
   EXPECT_TRUE(fig13.quality.valid);
 }

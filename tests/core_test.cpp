@@ -123,14 +123,16 @@ TEST_F(BaselinesTest, BasicCIsSubsetOfBasicB) {
   for (std::size_t k = 0; k < idx.size(); ++k) {
     b_pos += pb[k];
     c_pos += pc[k];
-    if (pc[k]) EXPECT_TRUE(pb[k]);  // top apps are affected apps
+    if (pc[k]) {
+      EXPECT_TRUE(pb[k]);  // top apps are affected apps
+    }
   }
   EXPECT_LT(c_pos, b_pos);
 }
 
 TEST_F(BaselinesTest, PredictBeforeTrainThrows) {
   BasicScheme scheme(BasicKind::kBasicA);
-  EXPECT_THROW(scheme.predict(trace_.samples[0]), CheckError);
+  EXPECT_THROW((void)scheme.predict(trace_.samples[0]), CheckError);
 }
 
 // --- TwoStage -----------------------------------------------------------------
@@ -225,7 +227,7 @@ TEST_F(TwoStageTest, PredictBeforeTrainThrows) {
   TwoStagePredictor predictor({});
   const std::vector<std::size_t> idx = {0};
   EXPECT_THROW(predictor.predict(trace_, idx), CheckError);
-  EXPECT_THROW(predictor.model(), CheckError);
+  EXPECT_THROW((void)predictor.model(), CheckError);
 }
 
 TEST_F(TwoStageTest, PipelineIsBitwiseInvariantAcrossThreadCounts) {

@@ -86,6 +86,18 @@ TEST_F(ObsTest, CounterAggregatesExactlyAcrossThreadCounts) {
   }
 }
 
+TEST_F(ObsTest, GaugeIsSnapshottedOnlyWhenSetSinceReset) {
+  obs::set_enabled(true);
+  obs::Gauge& g = obs::gauge("obs_test.gauge");
+  g.set(0.25);
+  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), 0.25);
+  obs::reset();
+  // Registered but unset: absent, never a phantom 0.
+  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), -1.0);
+  g.set(0.0);
+  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), 0.0);
+}
+
 TEST_F(ObsTest, SpanNestingTracksInnermostName) {
   obs::set_enabled(true);
   EXPECT_EQ(obs::current_span_name(), nullptr);

@@ -125,11 +125,11 @@ TEST(Topology, SlotBaseIsAligned) {
 
 TEST(Topology, OutOfRangeThrows) {
   const Topology topo(SystemConfig::tiny());
-  EXPECT_THROW(topo.address_of(-1), CheckError);
-  EXPECT_THROW(topo.address_of(topo.total_nodes()), CheckError);
-  EXPECT_THROW(topo.cabinet_of(topo.total_nodes()), CheckError);
-  EXPECT_THROW(topo.cabinet_xy(topo.config().cabinets()), CheckError);
-  EXPECT_THROW(topo.id_of({.cab_x = 99}), CheckError);
+  EXPECT_THROW((void)topo.address_of(-1), CheckError);
+  EXPECT_THROW((void)topo.address_of(topo.total_nodes()), CheckError);
+  EXPECT_THROW((void)topo.cabinet_of(topo.total_nodes()), CheckError);
+  EXPECT_THROW((void)topo.cabinet_xy(topo.config().cabinets()), CheckError);
+  EXPECT_THROW((void)topo.id_of({.cab_x = 99}), CheckError);
 }
 
 TEST(Topology, InvalidConfigThrows) {

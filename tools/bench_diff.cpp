@@ -5,15 +5,19 @@
 //
 //   bench_diff <old.json> <new.json> [--perf-tolerance <pct>]
 //
-// Two classes of keys are compared (only keys present in BOTH files):
+// Two classes of keys are compared:
 //
 //   * eval metrics — last dot-segment f1/precision/recall/accuracy/auc
 //     (higher is better) or brier/ece (lower is better). Any worsening
 //     beyond 1e-9 is a regression: eval numbers are deterministic for a
-//     fixed seed, so they must not move at all.
-//   * perf metrics — keys ending in "_seconds". A regression is
-//     new > old * (1 + tolerance); default tolerance 25%, settable via
-//     --perf-tolerance (percent) to absorb machine-to-machine noise.
+//     fixed seed, so they must not move at all. An eval key of the old
+//     file that the new file lacks is a regression too.
+//   * perf metrics — keys ending in "_seconds", compared when present in
+//     both files. A regression is new > old * (1 + tolerance); default
+//     tolerance 25%, settable via --perf-tolerance (percent) to absorb
+//     machine-to-machine noise.
+//
+// Keys only the new file has are never a regression.
 //
 // Exit codes: 0 no regression ("no eval regression" printed), 1 at least
 // one regression, 2 usage or parse error.
@@ -114,10 +118,18 @@ int main(int argc, char** argv) {
   std::size_t eval_compared = 0;
   std::size_t perf_compared = 0;
   for (const auto& [key, old_v] : *old_doc) {
+    const int dir = eval_direction(key);
     const auto it = new_doc->find(key);
-    if (it == new_doc->end()) continue;
+    if (it == new_doc->end()) {
+      if (dir != 0) {
+        ++regressions;
+        std::printf("EVAL REGRESSION  %-40s %.9g -> missing\n", key.c_str(),
+                    old_v);
+      }
+      continue;
+    }
     const double new_v = it->second;
-    if (const int dir = eval_direction(key); dir != 0) {
+    if (dir != 0) {
       ++eval_compared;
       const double worsening = dir > 0 ? old_v - new_v : new_v - old_v;
       if (worsening > kEvalEpsilon) {
