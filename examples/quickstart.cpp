@@ -1,11 +1,14 @@
 // Quickstart: simulate a small GPU cluster trace, train the paper's
-// TwoStage+GBDT predictor on the first weeks, and evaluate it on the rest.
+// TwoStage+GBDT predictor on the first weeks, evaluate it on the rest, and
+// account what its ECC advice saves (the paper's motivating use, Sec. I,
+// VIII).
 //
 //   ./quickstart [days] [seed]
 #include <cstdio>
 #include <cstdlib>
 
 #include "core/baselines.hpp"
+#include "core/ecc_advisor.hpp"
 #include "core/two_stage.hpp"
 #include "sim/simulator.hpp"
 
@@ -14,7 +17,7 @@ int main(int argc, char** argv) {
   const std::int64_t days = argc > 1 ? std::atoll(argv[1]) : 45;
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
 
-  // 1. Simulate a scaled-down Titan: 8x4 cabinet grid, 256 GPUs.
+  // 1. Simulate a scaled-down Titan: 8x4 cabinet grid, 512 GPUs.
   sim::SimConfig config;
   config.system = {.grid_x = 8, .grid_y = 4, .cages_per_cabinet = 1,
                    .slots_per_cage = 4, .nodes_per_slot = 4};
@@ -60,5 +63,27 @@ int main(int argc, char** argv) {
                 trace.catalog.spec(s.app).name.c_str(), s.node, proba[k],
                 s.sbe_affected() ? "SBE" : "clean");
   }
+
+  // 5. ECC advice: ECC costs ~10% of GPU performance, so turn it off for
+  //    runs predicted clean and keep it on elsewhere; a missed SBE with ECC
+  //    off pays a re-execution. Compare against the two trivial policies.
+  const core::EccReport report = core::advise_ecc(trace, idx, run.pred);
+  std::size_t ecc_off = 0;
+  for (const auto& d : report.decisions) ecc_off += d.ecc_on ? 0 : 1;
+  std::printf("\nECC advice: off for %zu of %zu run-node decisions\n", ecc_off,
+              report.decisions.size());
+  std::printf("  always-on ECC overhead : %8.1f GPU core-hours\n",
+              report.baseline_overhead_hours);
+  std::printf("  overhead still spent   : %8.1f (ECC kept on where SBE predicted)\n",
+              report.spent_overhead_hours);
+  std::printf("  re-execution paid      : %8.1f (%zu missed SBE run-nodes)\n",
+              report.reexecution_hours, report.missed_sbe_runs);
+  const std::vector<ml::Label> always_on(idx.size(), 1);
+  const std::vector<ml::Label> always_off(idx.size(), 0);
+  std::printf("net core-hours saved: always on %.1f | always off %.1f | "
+              "predictor %.1f (%.0f%% of the ECC bill)\n",
+              core::advise_ecc(trace, idx, always_on).net_savings_hours(),
+              core::advise_ecc(trace, idx, always_off).net_savings_hours(),
+              report.net_savings_hours(), 100.0 * report.savings_ratio());
   return 0;
 }

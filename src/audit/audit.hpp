@@ -18,10 +18,9 @@
 // audit computation is a pure read of pipeline state, so audit-on vs
 // audit-off pipelines produce bit-identical predictions and metrics. The
 // JSONL writer builds record lines in parallel into an index-addressed
-// buffer and flushes them in index order under one mutex, so a serial
-// driver (retraining, fleet_monitor) produces byte-identical files for
-// any REPRO_THREADS; concurrent drivers (sweep cells) interleave whole
-// batches, never partial lines.
+// buffer and flushes them in index order under one mutex, so runs made one
+// after another produce byte-identical files for any REPRO_THREADS;
+// concurrent runs interleave whole batches, never partial lines.
 #pragma once
 
 #include <atomic>

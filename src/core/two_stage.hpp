@@ -10,7 +10,8 @@
 //            decides the remaining cases.
 //
 // The deliberate cost: SBEs on previously error-free nodes are always
-// missed; periodic retraining (see run_retraining) keeps that loss small.
+// missed; periodic retraining (a new TwoStage on each sliding window of
+// SplitSpec::sliding) keeps that loss small.
 #pragma once
 
 #include <compare>

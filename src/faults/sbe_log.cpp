@@ -141,11 +141,6 @@ std::uint64_t SbeLog::app_node_count_between(workload::AppId app,
   return index.app_count(app, index.lower(l, i1), i1);
 }
 
-bool SbeLog::node_has_sbe_between(topo::NodeId node, Minute lo,
-                                  Minute hi) const {
-  return node_count_between(node, lo, hi) > 0;
-}
-
 std::vector<char> SbeLog::offender_mask(Minute lo, Minute hi) const {
   const auto [l, h] = clamp_window(lo, hi);
   std::vector<char> mask(by_node_.size(), 0);

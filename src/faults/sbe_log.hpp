@@ -73,10 +73,6 @@ class SbeLog {
                                                      Minute lo,
                                                      Minute hi) const;
 
-  /// True iff the node has any SBE observation in [lo, hi).
-  [[nodiscard]] bool node_has_sbe_between(topo::NodeId node, Minute lo,
-                                          Minute hi) const;
-
   /// Per-node flag vector: node saw >= 1 SBE in [lo, hi). This is the
   /// paper's stage-1 "SBE offender node" set for a training window.
   [[nodiscard]] std::vector<char> offender_mask(Minute lo, Minute hi) const;

@@ -236,18 +236,4 @@ ml::Dataset FeatureExtractor::build(
   return d;
 }
 
-std::string describe_mask(FeatureMask mask) {
-  if (mask == kAllFeatures) return "All";
-  if (mask == kSetCur) return "Cur";
-  if (mask == kSetCurPrev) return "CurPrev";
-  if (mask == kSetCurNei) return "CurNei";
-  if (mask == kGroupHist) return "Hist";
-  if (mask == kGroupTp) return "TP";
-  if (mask == kGroupApp) return "App";
-  std::string out = "mask(";
-  out += std::to_string(mask);
-  out += ")";
-  return out;
-}
-
 }  // namespace repro::features

@@ -119,7 +119,4 @@ class FeatureExtractor {
   std::vector<std::string> names_;
 };
 
-/// Human-readable name of a feature-set for bench output.
-std::string describe_mask(FeatureMask mask);
-
 }  // namespace repro::features

@@ -136,18 +136,4 @@ telemetry::FourStats forecast_run_stats(std::span<const float> history,
   return out;
 }
 
-double one_step_mae(std::span<const float> series, std::size_t warmup) {
-  if (series.size() <= warmup + 1) return 0.0;
-  double abs_err = 0.0;
-  std::size_t n = 0;
-  Ar2Forecaster model;
-  for (std::size_t t = warmup; t + 1 < series.size(); ++t) {
-    model.fit(series.subspan(0, t + 1));
-    const float pred = model.forecast(1).front();
-    abs_err += std::abs(static_cast<double>(series[t + 1]) - pred);
-    ++n;
-  }
-  return abs_err / static_cast<double>(n);
-}
-
 }  // namespace repro::forecast

@@ -66,8 +66,4 @@ class Ar2Forecaster {
 telemetry::FourStats forecast_run_stats(std::span<const float> history,
                                         std::size_t horizon_minutes);
 
-/// Mean absolute error of one-step AR(2) forecasts over a series, for
-/// evaluating forecaster quality (used by tests and the forecast bench).
-double one_step_mae(std::span<const float> series, std::size_t warmup = 16);
-
 }  // namespace repro::forecast

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace repro::ml {
 
@@ -10,12 +9,6 @@ std::size_t Dataset::positives() const noexcept {
   std::size_t p = 0;
   for (const Label l : y) p += l;
   return p;
-}
-
-double Dataset::imbalance_ratio() const noexcept {
-  const std::size_t p = positives();
-  if (p == 0) return std::numeric_limits<double>::max();
-  return static_cast<double>(size() - p) / static_cast<double>(p);
 }
 
 Dataset Dataset::select(const std::vector<std::size_t>& idx) const {

@@ -26,8 +26,6 @@ struct Dataset {
   [[nodiscard]] std::size_t negatives() const noexcept {
     return size() - positives();
   }
-  /// Negatives per positive; +inf styled as a large value when no positives.
-  [[nodiscard]] double imbalance_ratio() const noexcept;
 
   /// New dataset with the given rows (indices may repeat).
   [[nodiscard]] Dataset select(const std::vector<std::size_t>& idx) const;

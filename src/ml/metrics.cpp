@@ -168,12 +168,4 @@ double ks_statistic_sorted(std::span<const float> a_sorted,
   return ks;
 }
 
-double ks_statistic(std::span<const float> a, std::span<const float> b) {
-  std::vector<float> sa(a.begin(), a.end());
-  std::vector<float> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  return ks_statistic_sorted(sa, sb);
-}
-
 }  // namespace repro::ml

@@ -95,7 +95,4 @@ double population_stability_index(std::span<const double> expected,
 double ks_statistic_sorted(std::span<const float> a_sorted,
                            std::span<const float> b_sorted);
 
-/// Convenience over unsorted samples (copies and sorts both sides).
-double ks_statistic(std::span<const float> a, std::span<const float> b);
-
 }  // namespace repro::ml

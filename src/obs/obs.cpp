@@ -274,23 +274,28 @@ std::vector<Metric> snapshot() {
     std::lock_guard<std::mutex> lk(reg.mu);
     out.reserve(reg.counters.size() + reg.gauges.size() +
                 2 * reg.timers.size() + 1);
+    // A counter at 0, a timer never called or a gauge not set since the
+    // last reset is left out: a 0 would read as a measurement.
     for (const auto& [name, c] : reg.counters) {
       const std::uint64_t v = c->value();
-      out.push_back({name, static_cast<double>(v), v, true});
+      if (v != 0) out.push_back({name, static_cast<double>(v), v, true});
     }
     for (const auto& [name, g] : reg.gauges) {
       if (g->has_value()) out.push_back({name, g->value(), 0, false});
     }
     for (const auto& [name, t] : reg.timers) {
-      out.push_back({name + "_seconds", t->seconds(), 0, false});
       const std::uint64_t calls = t->calls();
+      if (calls == 0) continue;
+      out.push_back({name + "_seconds", t->seconds(), 0, false});
       out.push_back({name + "_calls", static_cast<double>(calls), calls,
                      true});
     }
     for (const auto& b : reg.bufs) dropped += b->dropped;
   }
-  out.push_back({"trace.events_dropped", static_cast<double>(dropped),
-                 dropped, true});
+  if (dropped != 0) {
+    out.push_back({"trace.events_dropped", static_cast<double>(dropped),
+                   dropped, true});
+  }
   std::sort(out.begin(), out.end(),
             [](const Metric& a, const Metric& b) { return a.key < b.key; });
   return out;

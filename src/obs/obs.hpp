@@ -10,9 +10,10 @@
 //              independent of which thread performed which add — counter
 //              values are thread-count invariant whenever the counted
 //              work is (see DESIGN.md §7).
-//   * Registry snapshot — a flat, key-sorted view of every counter,
-//              every gauge set since the last reset, and every timer
-//              (`<timer>_seconds` / `<timer>_calls`), merged into
+//   * Registry snapshot — a flat, key-sorted view of every nonzero
+//              counter, every gauge set since the last reset, and every
+//              timer called since then (`<timer>_seconds` /
+//              `<timer>_calls`), merged into
 //              BENCH_<name>.json artifacts by BenchJson.
 //
 // Everything is OFF by default. The hot-path cost of a disabled span or
@@ -207,9 +208,9 @@ const char* intern(const std::string& name);
 /// never bound get "main" (first) or "thread-<n>" tracks.
 void bind_worker(std::uint64_t worker_tid);
 
-/// One flattened metric for artifact export, sorted by key:
-/// counters (integral), gauges that have a value, and per-timer
-/// `_seconds` / `_calls`.
+/// One flattened metric for artifact export, sorted by key: nonzero
+/// counters (integral), gauges that have a value, and `_seconds` /
+/// `_calls` of each timer with calls.
 struct Metric {
   std::string key;
   double value = 0.0;        ///< numeric value (counters cast too)

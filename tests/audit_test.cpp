@@ -18,7 +18,8 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/evaluation.hpp"
-#include "core/retraining.hpp"
+#include "core/splits.hpp"
+#include "core/two_stage.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/metrics.hpp"
@@ -131,16 +132,17 @@ TEST_F(AuditTest, PsiMatchesHandComputation) {
 }
 
 TEST_F(AuditTest, KsMatchesHandComputation) {
-  // F_a and F_b differ most just below 3: F_a = 2/4, F_b = 0.
+  // Every input is sorted. F_a and F_b differ most just below 3: F_a = 2/4,
+  // F_b = 0.
   const std::vector<float> a{1.0f, 2.0f, 3.0f, 4.0f};
   const std::vector<float> b{3.0f, 4.0f, 5.0f, 6.0f};
-  EXPECT_NEAR(ml::ks_statistic(a, b), 0.5, 1e-12);
-  EXPECT_EQ(ml::ks_statistic(a, a), 0.0);
-  EXPECT_EQ(ml::ks_statistic({}, b), 0.0);
+  EXPECT_NEAR(ml::ks_statistic_sorted(a, b), 0.5, 1e-12);
+  EXPECT_EQ(ml::ks_statistic_sorted(a, a), 0.0);
+  EXPECT_EQ(ml::ks_statistic_sorted({}, b), 0.0);
   // Disjoint supports: the full mass separates.
   const std::vector<float> lo{0.0f, 1.0f};
   const std::vector<float> hi{10.0f, 11.0f};
-  EXPECT_NEAR(ml::ks_statistic(lo, hi), 1.0, 1e-12);
+  EXPECT_NEAR(ml::ks_statistic_sorted(lo, hi), 1.0, 1e-12);
 }
 
 TEST_F(AuditTest, AssessPublishesGauges) {
@@ -294,26 +296,30 @@ TEST_F(AuditTest, TopKContributionsDropZerosAndBreakTiesByIndex) {
 
 // --- audit-off bit-identity and the JSONL sink ------------------------------
 
-core::RetrainingConfig tiny_retrain_config() {
-  core::RetrainingConfig config;
-  config.train_days = 15;
-  config.period_days = 7;
-  config.warmup_days = 15;
-  return config;
+/// The deployment loop of Sec. VI-A on the tiny trace: retrain on 15 days,
+/// score the next 7, slide by 7, and publish each period as it finishes.
+std::vector<core::TwoStageRun> retrain_periods(const sim::Trace& trace) {
+  const std::int64_t days = trace.duration / kMinutesPerDay;
+  std::vector<core::TwoStageRun> out;
+  for (const core::SplitSpec& split :
+       core::SplitSpec::sliding(days, 15, 7, 7, (days - 15) / 7)) {
+    out.push_back(core::run_two_stage(trace, {}, split.train, split.test));
+    core::publish(out.back());
+  }
+  return out;
 }
 
 TEST_F(AuditTest, AuditOnIsBitIdenticalToAuditOff) {
   const sim::Trace& trace = shared_tiny_trace();
-  const auto config = tiny_retrain_config();
 
   obs::set_enabled(false);
   audit::set_sink_path("");
-  const auto off = core::run_retraining(trace, config);
+  const auto off = retrain_periods(trace);
 
   obs::set_enabled(true);
   const std::string sink_path = "audit_test_identity.jsonl";
   audit::set_sink_path(sink_path);
-  const auto on = core::run_retraining(trace, config);
+  const auto on = retrain_periods(trace);
   audit::set_sink_path("");
   std::remove(sink_path.c_str());
 
@@ -341,7 +347,7 @@ TEST_F(AuditTest, SinkWritesParseableJsonlWithExpectedCounts) {
   const sim::Trace& trace = shared_tiny_trace();
   const std::string sink_path = "audit_test_records.jsonl";
   audit::set_sink_path(sink_path);
-  const auto periods = core::run_retraining(trace, tiny_retrain_config());
+  const auto periods = retrain_periods(trace);
   audit::set_sink_path("");
 
   const auto lines = read_lines(sink_path);
@@ -382,7 +388,7 @@ TEST_F(AuditTest, SinkPredictionLinesAreThreadCountInvariant) {
   const auto run = [&](std::size_t threads, const std::string& path) {
     set_parallel_threads(threads);
     audit::set_sink_path(path);
-    (void)core::run_retraining(trace, tiny_retrain_config());
+    (void)retrain_periods(trace);
     audit::set_sink_path("");
     auto lines = read_lines(path);
     std::remove(path.c_str());

@@ -7,7 +7,6 @@
 #include "core/baselines.hpp"
 #include "core/ecc_advisor.hpp"
 #include "core/evaluation.hpp"
-#include "core/retraining.hpp"
 #include "core/splits.hpp"
 #include "core/two_stage.hpp"
 #include "support/test_trace.hpp"
@@ -396,35 +395,6 @@ TEST(EccAdvisor, AlwaysOnSavesNothing) {
   const EccReport report = advise_ecc(trace, idx, always_on);
   EXPECT_DOUBLE_EQ(report.net_savings_hours(), 0.0);
   EXPECT_EQ(report.missed_sbe_runs, 0u);
-}
-
-// --- retraining ----------------------------------------------------------------
-
-TEST(Retraining, PeriodsTileTheTrace) {
-  const sim::Trace& trace = shared_pipeline_trace();
-  RetrainingConfig config;
-  config.train_days = 20;
-  config.warmup_days = 20;
-  config.period_days = 10;
-  const auto periods = run_retraining(trace, config);
-  ASSERT_EQ(periods.size(), 2u);  // 40-day trace: [20,30), [30,40)
-  EXPECT_EQ(periods[0].test.begin, day_start(20));
-  EXPECT_EQ(periods[1].test.begin, day_start(30));
-  for (const auto& p : periods) {
-    EXPECT_EQ(p.train.end, p.test.begin);
-    EXPECT_EQ(p.train.length(), 20 * kMinutesPerDay);
-    EXPECT_GT(p.idx.size(), 0u);
-    EXPECT_GT(p.offender_nodes, 0u);
-    EXPECT_GT(p.metrics.positive.f1, 0.0);
-  }
-}
-
-TEST(Retraining, InvalidConfigThrows) {
-  const sim::Trace& trace = shared_pipeline_trace();
-  RetrainingConfig config;
-  config.warmup_days = 5;
-  config.train_days = 10;  // warmup < train
-  EXPECT_THROW(run_retraining(trace, config), CheckError);
 }
 
 }  // namespace

@@ -164,8 +164,6 @@ TEST(SbeLog, OffenderMask) {
   EXPECT_EQ(mask_all, (std::vector<char>{0, 1, 0, 1}));
   const auto mask_early = log.offender_mask(0, 100);
   EXPECT_EQ(mask_early, (std::vector<char>{0, 1, 0, 0}));
-  EXPECT_TRUE(log.node_has_sbe_between(1, 0, 100));
-  EXPECT_FALSE(log.node_has_sbe_between(3, 0, 100));
 }
 
 TEST(SbeLog, RejectsBadEvents) {
@@ -224,7 +222,6 @@ TEST(SbeLog, QueriesRejectIdsOutsideTheMachine) {
   log.add(event(1, 0, 1, 50, 1));
   for (const topo::NodeId node : {-1, 4}) {
     EXPECT_THROW((void)log.node_count_between(node, 0, 100), CheckError);
-    EXPECT_THROW((void)log.node_has_sbe_between(node, 0, 100), CheckError);
     EXPECT_THROW((void)log.app_node_count_between(0, node, 0, 100),
                  CheckError);
     EXPECT_THROW((void)log.history(node, 0, 0, 0, 100), CheckError);

@@ -321,16 +321,5 @@ TEST(FeatureExtractor, GoldenExtractHash) {
   }
 }
 
-TEST(DescribeMask, NamedSets) {
-  EXPECT_EQ(describe_mask(kAllFeatures), "All");
-  EXPECT_EQ(describe_mask(kSetCur), "Cur");
-  EXPECT_EQ(describe_mask(kSetCurPrev), "CurPrev");
-  EXPECT_EQ(describe_mask(kSetCurNei), "CurNei");
-  EXPECT_EQ(describe_mask(kGroupHist), "Hist");
-  EXPECT_EQ(describe_mask(kGroupTp), "TP");
-  EXPECT_EQ(describe_mask(kGroupApp), "App");
-  EXPECT_NE(describe_mask(kFeatTpCur).find("mask("), std::string::npos);
-}
-
 }  // namespace
 }  // namespace repro::features

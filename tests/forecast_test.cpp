@@ -106,9 +106,17 @@ TEST(ForecastRunStats, DegenerateInputs) {
   EXPECT_FLOAT_EQ(no_hist.mean, 0.0f);
 }
 
-TEST(OneStepMae, BeatsNaiveMeanOnArSeries) {
+TEST(Ar2Forecaster, OneStepErrorBeatsNaiveMeanOnArSeries) {
   const auto xs = make_series(300, 8.0, 0.5, 0.3, 0.5, 7);
-  const double model_mae = one_step_mae(xs);
+  // Mean absolute error of one-step forecasts, each fitted on the prefix.
+  double model_mae = 0.0;
+  const std::size_t warmup = 16;
+  Ar2Forecaster model;
+  for (std::size_t t = warmup; t + 1 < xs.size(); ++t) {
+    model.fit(std::span<const float>(xs).subspan(0, t + 1));
+    model_mae += std::abs(static_cast<double>(xs[t + 1]) - model.forecast(1).front());
+  }
+  model_mae /= static_cast<double>(xs.size() - warmup - 1);
   // Naive "predict the global mean" error for comparison.
   double mean = 0.0;
   for (const float v : xs) mean += v;

@@ -19,18 +19,12 @@ Dataset make_dataset(std::size_t negatives, std::size_t positives) {
   return d;
 }
 
-TEST(Dataset, CountsAndRatio) {
+TEST(Dataset, Counts) {
   const Dataset d = make_dataset(90, 10);
   EXPECT_EQ(d.size(), 100u);
   EXPECT_EQ(d.positives(), 10u);
   EXPECT_EQ(d.negatives(), 90u);
-  EXPECT_DOUBLE_EQ(d.imbalance_ratio(), 9.0);
   d.validate();
-}
-
-TEST(Dataset, ImbalanceWithNoPositives) {
-  const Dataset d = make_dataset(10, 0);
-  EXPECT_GT(d.imbalance_ratio(), 1e9);
 }
 
 TEST(Dataset, SelectCopiesRows) {

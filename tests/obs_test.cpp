@@ -86,7 +86,7 @@ TEST_F(ObsTest, CounterAggregatesExactlyAcrossThreadCounts) {
   }
 }
 
-TEST_F(ObsTest, GaugeIsSnapshottedOnlyWhenSetSinceReset) {
+TEST_F(ObsTest, SnapshotHoldsOnlyWhatWasRecordedSinceReset) {
   obs::set_enabled(true);
   obs::Gauge& g = obs::gauge("obs_test.gauge");
   g.set(0.25);
@@ -96,6 +96,21 @@ TEST_F(ObsTest, GaugeIsSnapshottedOnlyWhenSetSinceReset) {
   EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), -1.0);
   g.set(0.0);
   EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), 0.0);
+
+  // Likewise a counter back at 0 and a timer without calls.
+  obs::Counter& c = obs::counter("obs_test.reset_counter");
+  obs::Timer& t = obs::timer("obs_test.reset_timer");
+  c.add(3);
+  { const obs::Span span(t); }
+  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.reset_counter"), 3.0);
+  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.reset_timer_calls"), 1.0);
+  obs::reset();
+  const std::vector<obs::Metric> after = obs::snapshot();
+  EXPECT_EQ(metric_value(after, "obs_test.reset_counter"), -1.0);
+  EXPECT_EQ(metric_value(after, "obs_test.reset_timer_calls"), -1.0);
+  EXPECT_EQ(metric_value(after, "obs_test.reset_timer_seconds"), -1.0);
+  // Nothing was captured, so no dropped-event count either.
+  EXPECT_EQ(metric_value(after, "trace.events_dropped"), -1.0);
 }
 
 TEST_F(ObsTest, SpanNestingTracksInnermostName) {
@@ -283,7 +298,8 @@ TEST_F(ObsTest, BenchJsonEscapesAndMergesObsSnapshot) {
   EXPECT_EQ(parser.flat.at("path"), "C:\\dir\\\"quoted\"");
   // The obs snapshot is merged under an "obs." prefix.
   EXPECT_EQ(parser.flat.at("obs.obs_test.bench_counter"), "7");
-  EXPECT_TRUE(parser.flat.contains("obs.trace.events_dropped"));
+  // No event was dropped, so the artifact carries no dropped-event count.
+  EXPECT_FALSE(parser.flat.contains("obs.trace.events_dropped"));
 }
 
 }  // namespace

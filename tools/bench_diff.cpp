@@ -1,17 +1,18 @@
 // bench_diff: compares two BENCH_<name>.json artifacts (bench/support
 // BenchJson format — one flat JSON object of scalar metrics) and fails on
-// regressions, so CI and humans can gate on "did this change make the
-// reproduction worse".
+// regressions, so CI and humans can gate on "did this change move the
+// reproduction's results or make it slower".
 //
 //   bench_diff <old.json> <new.json> [--perf-tolerance <pct>]
 //
 // Two classes of keys are compared:
 //
-//   * eval metrics — last dot-segment f1/precision/recall/accuracy/auc
-//     (higher is better) or brier/ece (lower is better). Any worsening
-//     beyond 1e-9 is a regression: eval numbers are deterministic for a
-//     fixed seed, so they must not move at all. An eval key of the old
-//     file that the new file lacks is a regression too.
+//   * eval metrics — last dot-segment f1/precision/recall/accuracy/auc/
+//     brier/ece. Any move beyond 1e-9, up or down, is a regression: eval
+//     numbers are deterministic for a fixed seed, so a change of either
+//     sign is unannounced unless the committed artifact is re-baselined.
+//     An eval key of the old file that the new file lacks is a regression
+//     too.
 //   * perf metrics — keys ending in "_seconds", compared when present in
 //     both files. A regression is new > old * (1 + tolerance); default
 //     tolerance 25%, settable via --perf-tolerance (percent) to absorb
@@ -21,6 +22,7 @@
 //
 // Exit codes: 0 no regression ("no eval regression" printed), 1 at least
 // one regression, 2 usage or parse error.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,15 +72,11 @@ std::string last_segment(const std::string& key) {
   return dot == std::string::npos ? key : key.substr(dot + 1);
 }
 
-/// +1: higher is better, -1: lower is better, 0: not an eval metric.
-int eval_direction(const std::string& key) {
+bool is_eval_key(const std::string& key) {
   const std::string leaf = last_segment(key);
-  if (leaf == "f1" || leaf == "precision" || leaf == "recall" ||
-      leaf == "accuracy" || leaf == "auc") {
-    return +1;
-  }
-  if (leaf == "brier" || leaf == "ece") return -1;
-  return 0;
+  return leaf == "f1" || leaf == "precision" || leaf == "recall" ||
+         leaf == "accuracy" || leaf == "auc" || leaf == "brier" ||
+         leaf == "ece";
 }
 
 bool is_perf_key(const std::string& key) {
@@ -118,10 +116,10 @@ int main(int argc, char** argv) {
   std::size_t eval_compared = 0;
   std::size_t perf_compared = 0;
   for (const auto& [key, old_v] : *old_doc) {
-    const int dir = eval_direction(key);
+    const bool eval = is_eval_key(key);
     const auto it = new_doc->find(key);
     if (it == new_doc->end()) {
-      if (dir != 0) {
+      if (eval) {
         ++regressions;
         std::printf("EVAL REGRESSION  %-40s %.9g -> missing\n", key.c_str(),
                     old_v);
@@ -129,13 +127,12 @@ int main(int argc, char** argv) {
       continue;
     }
     const double new_v = it->second;
-    if (dir != 0) {
+    if (eval) {
       ++eval_compared;
-      const double worsening = dir > 0 ? old_v - new_v : new_v - old_v;
-      if (worsening > kEvalEpsilon) {
+      if (std::abs(new_v - old_v) > kEvalEpsilon) {
         ++regressions;
         std::printf("EVAL REGRESSION  %-40s %.9g -> %.9g (%s)\n", key.c_str(),
-                    old_v, new_v, dir > 0 ? "dropped" : "rose");
+                    old_v, new_v, new_v > old_v ? "rose" : "dropped");
       }
     } else if (is_perf_key(key)) {
       ++perf_compared;
