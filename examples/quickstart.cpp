@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const Interval test{train.end, day_start(days)};
   const core::TwoStageRun run = core::run_two_stage(trace, {}, train, test);
   std::printf("trained GBDT on %zu offender-node samples in %.2f s\n",
-              run.stage2_size, run.train_seconds);
+              run.stage2_size, run.fit_seconds);
 
   // 3. Evaluate on the held-out weeks, next to the Basic A baseline.
   const ml::ClassMetrics& metrics = run.metrics;

@@ -1,13 +1,12 @@
-// Model-quality observability (DESIGN.md §8): the layer that rides on
-// src/obs and answers *why* a retraining period degraded, not just that it
-// did. Three parts:
+// Model-quality observability (DESIGN.md §8): the layer that answers *why*
+// a retraining period degraded, not just that it did. Three parts:
 //
 //   * Quality assessment — Brier score, ROC-AUC, reliability bins and ECE
 //     over (truth, probability) pairs (ml/metrics primitives).
 //   * Drift detection — see audit/drift.hpp.
-//   Both come back as values in core::TwoStageRun; core::publish turns a
-//   run into obs gauges (`audit.brier`, `audit.auc`, `audit.psi_max`, ...)
-//   so they land in BENCH_<name>.json as `obs.audit.*` keys.
+//   Both come back as values in core::TwoStageRun (filled when obs metrics
+//   are on). Table III writes the DS1 GBDT run's as its own artifact keys
+//   (`GBDT.auc`, `GBDT.brier`, `GBDT.psi_max`, ...).
 //   * Prediction audit log — an opt-in JSONL sink (REPRO_AUDIT=<path>)
 //     with one manifest line per trained model and one record per
 //     prediction: score, threshold, decision, truth, stage-1 outcome, and

@@ -28,9 +28,9 @@ struct FeatureDrift {
   double ks = 0.0;
 };
 
-/// Result of one train-vs-test comparison, plus the argmax features the
-/// obs gauges and the fleet-monitor panel surface. Name fields are filled
-/// by the caller that knows the feature naming (core::TwoStagePredictor).
+/// Result of one train-vs-test comparison, plus the argmax features Table
+/// III reports. Name fields are filled by the caller that knows the
+/// feature naming (core::TwoStagePredictor).
 struct DriftSummary {
   bool valid = false;
   std::vector<FeatureDrift> per_feature;

@@ -33,16 +33,17 @@ struct Job {
   const std::size_t helpers;        // workers allowed to join (main joins too)
   const std::function<void(std::size_t)>& fn;
   // Observability label for this region: "<span>/region" after the
-  // innermost span open on the dispatching thread (nullptr when tracing is
-  // disabled). Every thread that drains chunks opens a span with this name
-  // on its own track, so fanned-out work nests under the region that
-  // spawned it without repeating the parent span's name.
+  // innermost span open on the dispatching thread (nullptr when metrics
+  // are off). The dispatching thread times the region under this name, and
+  // every worker that drains chunks records a trace event with it on its
+  // own track, so fanned-out work nests under the region that spawned it
+  // without repeating the parent span's name.
   const char* obs_region = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::size_t joined = 0;           // guarded by the pool mutex
-  std::size_t spans_closed = 0;     // joined workers past their region span
-                                    // (guarded by the pool mutex)
+  std::size_t events_closed = 0;    // joined workers past their region
+                                    // event (guarded by the pool mutex)
   std::mutex error_mutex;
   std::exception_ptr error;
 };
@@ -52,13 +53,6 @@ class Pool {
   static Pool& instance() {
     static Pool pool;
     return pool;
-  }
-
-  // Shared aggregation timer for every pool-side region span; the
-  // per-region trace-event name comes from the dispatching span instead.
-  static obs::Timer& region_timer() {
-    static obs::Timer& t = obs::timer("parallel.region");
-    return t;
   }
 
   void run(std::size_t chunks, const std::function<void(std::size_t)>& fn) {
@@ -82,7 +76,10 @@ class Pool {
     // inside the region, so nested parallel calls from fn run inline.
     tl_in_worker = true;
     if (job->obs_region != nullptr) {
-      const obs::Span span(region_timer(), job->obs_region);
+      // One timed span per dispatched region: parallel.region_calls counts
+      // dispatches, which do not depend on how many workers joined.
+      static obs::Timer& region_timer = obs::timer("parallel.region");
+      const obs::Span span(region_timer, job->obs_region);
       drain(*job);
     } else {
       drain(*job);
@@ -90,12 +87,12 @@ class Pool {
     tl_in_worker = false;
     {
       std::unique_lock<std::mutex> lk(mutex_);
-      // A traced region also waits for every joined worker to close its
-      // span, so a trace read right after the region holds all of them.
+      // A traced region also waits for every joined worker to record its
+      // event, so a trace read right after the region holds all of them.
       done_cv_.wait(lk, [&] {
         return job->done.load(std::memory_order_acquire) == job->chunks &&
                (job->obs_region == nullptr ||
-                job->spans_closed == job->joined);
+                job->events_closed == job->joined);
       });
       job_.reset();
     }
@@ -144,12 +141,11 @@ class Pool {
       }
       last = job;
       if (job->obs_region != nullptr) {
-        {
-          const obs::Span span(region_timer(), job->obs_region);
-          drain(*job);
-        }
+        const std::uint64_t start = obs::now_ns();
+        drain(*job);
+        obs::record_event(job->obs_region, start, obs::now_ns() - start);
         std::lock_guard<std::mutex> lk(mutex_);
-        ++job->spans_closed;
+        ++job->events_closed;
         done_cv_.notify_all();
       } else {
         drain(*job);

@@ -26,11 +26,12 @@
 // chunk grids are unchanged, so nesting does not perturb results either.
 //
 // Observability (src/obs): when tracing is enabled, each pool worker is
-// bound to trace track "worker-<k>" and every thread draining a dispatched
-// region opens a span named "<span>/region" after the innermost span on
-// the dispatching thread, so fanned-out work attributes to the right
-// worker and nests under the region that spawned it. With tracing
-// disabled the only cost per dispatch is one relaxed atomic load.
+// bound to trace track "worker-<k>". The dispatching thread times each
+// dispatched region once into the "parallel.region" timer, and every
+// thread draining it records a trace event named "<span>/region" after the
+// innermost span on the dispatching thread, so fanned-out work attributes
+// to the right worker and nests under the region that spawned it. With
+// tracing disabled the only cost per dispatch is one relaxed atomic load.
 #pragma once
 
 #include <cstddef>

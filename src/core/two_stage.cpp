@@ -1,5 +1,6 @@
 #include "core/two_stage.hpp"
 
+#include <chrono>
 #include <cstdio>
 
 #include "audit/audit.hpp"
@@ -46,20 +47,17 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
     OBS_COUNT("two_stage.degraded_no_offenders");
     model_.reset();
     stage2_size_ = 0;
-    train_seconds_ = 0.0;
+    fit_seconds_ = 0.0;
     train_survivor_rate_ = 0.0;
     train_positive_rate_ = 0.0;
     return;
   }
-  ml::Dataset train_set = [&] {
-    OBS_SPAN("two_stage.featurize");
-    ml::Dataset built = extractor_->build(train_idx);
-    if (config_.undersample_ratio > 0.0) {
-      Rng rng(config_.seed ^ 0xBA1A4CEULL);
-      built = ml::undersample_majority(built, config_.undersample_ratio, rng);
-    }
-    return built;
-  }();
+  ml::Dataset train_set = extractor_->build(train_idx);
+  if (config_.undersample_ratio > 0.0) {
+    Rng rng(config_.seed ^ 0xBA1A4CEULL);
+    train_set =
+        ml::undersample_majority(train_set, config_.undersample_ratio, rng);
+  }
   stage2_size_ = train_set.size();
 
   scaler_.fit(train_set.X);
@@ -79,14 +77,13 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
   }
 
   model_ = ml::make_model(config_.model, config_.seed);
-  // Table III's train_seconds: the fit wall-clock is always measured
-  // (Policy::kAlways keeps the clock running even with tracing off, so
-  // the reported field is byte-compatible with the old hand-rolled
-  // steady_clock site this span replaced).
-  static obs::Timer& fit_timer = obs::timer("two_stage.stage2_fit");
-  const obs::Span fit_span(fit_timer, obs::Span::Policy::kAlways);
+  // Table III's fit seconds are measured with obs on or off; the model's
+  // own `<model>.fit` span times the same fit for the artifact's obs keys.
+  const auto fit_start = std::chrono::steady_clock::now();
   model_->fit(train_set);
-  train_seconds_ = fit_span.seconds();
+  fit_seconds_ = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - fit_start)
+                     .count();
 
   // Provenance header for the prediction audit log: one manifest line per
   // trained model, so the records that follow are attributable.
@@ -221,7 +218,7 @@ TwoStageRun run_two_stage(const sim::Trace& trace,
   run.test = test;
   TwoStagePredictor predictor(config);
   predictor.train(trace, train);
-  run.train_seconds = predictor.train_seconds();
+  run.fit_seconds = predictor.fit_seconds();
   run.stage2_size = predictor.stage2_training_size();
   run.degraded = predictor.degraded();
   run.train_survivor_rate = predictor.train_survivor_rate();
@@ -249,35 +246,6 @@ TwoStageRun run_two_stage(const sim::Trace& trace,
     if (obs::enabled()) run.quality = audit::assess(truth, run.proba);
   }
   return run;
-}
-
-void publish(const TwoStageRun& run) {
-  if (!obs::enabled()) return;
-  if (!run.degraded) {
-    obs::gauge("audit.train_survivor_rate").set(run.train_survivor_rate);
-    obs::gauge("audit.train_positive_rate").set(run.train_positive_rate);
-    if (!run.idx.empty()) {
-      obs::gauge("audit.survivor_rate").set(run.survivor_rate);
-    }
-  }
-  const audit::DriftSummary& d = run.drift;
-  if (d.valid) {
-    obs::gauge("audit.psi_max").set(d.psi_max);
-    obs::gauge("audit.psi_argmax_feature")
-        .set(static_cast<double>(d.psi_argmax));
-    obs::gauge("audit.ks_max").set(d.ks_max);
-    obs::gauge("audit.ks_argmax_feature")
-        .set(static_cast<double>(d.ks_argmax));
-    obs::gauge("audit.psi_drifted_features")
-        .set(static_cast<double>(d.psi_drifted));
-  }
-  const audit::QualityReport& q = run.quality;
-  if (q.valid) {
-    obs::gauge("audit.brier").set(q.brier);
-    obs::gauge("audit.auc").set(q.auc);
-    obs::gauge("audit.ece").set(q.ece);
-    obs::gauge("audit.positive_rate").set(q.positive_rate);
-  }
 }
 
 }  // namespace repro::core

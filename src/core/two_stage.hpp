@@ -83,9 +83,7 @@ class TwoStagePredictor {
     return offender_mask_;
   }
   /// Wall-clock seconds of the last stage-2 model fit (Table III).
-  [[nodiscard]] double train_seconds() const noexcept {
-    return train_seconds_;
-  }
+  [[nodiscard]] double fit_seconds() const noexcept { return fit_seconds_; }
   /// Stage-2 training-set size after filtering (and resampling, if any).
   [[nodiscard]] std::size_t stage2_training_size() const noexcept {
     return stage2_size_;
@@ -112,7 +110,7 @@ class TwoStagePredictor {
   std::unique_ptr<ml::Model> model_;
   ml::StandardScaler scaler_;
   std::vector<char> offender_mask_;
-  double train_seconds_ = 0.0;
+  double fit_seconds_ = 0.0;
   std::size_t stage2_size_ = 0;
   double train_survivor_rate_ = 0.0;
   double train_positive_rate_ = 0.0;
@@ -130,7 +128,7 @@ struct TwoStageRun {
   std::vector<float> proba;      ///< P(SBE) per idx entry
   std::vector<ml::Label> pred;   ///< proba thresholded at config.threshold
   ml::ClassMetrics metrics;
-  double train_seconds = 0.0;    ///< stage-2 fit wall-clock (Table III)
+  double fit_seconds = 0.0;      ///< stage-2 fit wall-clock (Table III)
   std::size_t stage2_size = 0;
   std::size_t offender_nodes = 0;
   bool degraded = false;         ///< see TwoStagePredictor::degraded
@@ -146,14 +144,9 @@ struct TwoStageRun {
 
 /// The TwoStage pipeline: trains a predictor on `train`, scores the
 /// samples whose runs end in `test` once, and evaluates them. Safe to run
-/// concurrently (it writes no gauges; see publish).
+/// concurrently.
 TwoStageRun run_two_stage(const sim::Trace& trace,
                           const TwoStageConfig& config, Interval train,
                           Interval test);
-
-/// Publishes a run's `audit.*` gauges (survivor/positive rates, drift,
-/// calibration). Gauges are process-global last-writer-wins, so call this
-/// from serial code only; a no-op when obs metrics are off.
-void publish(const TwoStageRun& run);
 
 }  // namespace repro::core

@@ -50,8 +50,8 @@ ClassMetrics evaluate_proba(std::span<const std::uint8_t> truth,
 // --- score-quality statistics (src/audit model observability) -------------
 //
 // Pure, deterministic functions over (truth, score) or distribution pairs;
-// the audit layer publishes them per retraining period as obs.audit.*
-// gauges. All accumulate in double regardless of the input width.
+// the audit layer reports them per run in core::TwoStageRun. All accumulate
+// in double regardless of the input width.
 
 /// Mean squared error of the probability forecast: mean((p - y)^2).
 /// Lower is better; 0.25 is the score of a constant 0.5 forecast.

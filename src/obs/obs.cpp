@@ -45,7 +45,7 @@ struct SpanStack {
 };
 
 // The registry is intentionally leaked: function-local-static references
-// handed out by counter()/gauge()/timer() and events recorded by pool
+// handed out by counter()/timer() and events recorded by pool
 // workers must stay valid through every static destructor.
 class Registry {
  public:
@@ -58,7 +58,6 @@ class Registry {
       std::chrono::steady_clock::now();
   std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Timer>> timers;
   std::set<std::string> names;  // intern()ed display names
   std::vector<std::shared_ptr<ThreadBuf>> bufs;
@@ -201,14 +200,6 @@ Counter& counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& gauge(const std::string& name) {
-  Registry& reg = Registry::instance();
-  std::lock_guard<std::mutex> lk(reg.mu);
-  auto& slot = reg.gauges[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Timer& timer(const std::string& name) {
   Registry& reg = Registry::instance();
   std::lock_guard<std::mutex> lk(reg.mu);
@@ -217,30 +208,27 @@ Timer& timer(const std::string& name) {
   return *slot;
 }
 
-Span::Span(Timer& timer, const char* display_name, Policy policy)
+Span::Span(Timer& timer, const char* display_name)
     : timer_(&timer), name_(display_name) {
   recording_ = enabled();
-  timing_ = recording_ || policy == Policy::kAlways;
-  if (!timing_) return;
-  if (recording_ && tl_spans.depth < kMaxSpanDepth) {
+  if (!recording_) return;
+  if (tl_spans.depth < kMaxSpanDepth) {
     tl_spans.names[tl_spans.depth++] = name_;
     pushed_ = true;
   }
   start_ns_ = now_ns();
 }
 
-double Span::seconds() const noexcept {
-  if (!timing_) return 0.0;
-  return static_cast<double>(now_ns() - start_ns_) * 1e-9;
+Span::~Span() {
+  if (!recording_) return;
+  const std::uint64_t dur = now_ns() - start_ns_;
+  if (pushed_) --tl_spans.depth;
+  timer_->record(dur);
+  record_event(name_, start_ns_, dur);
 }
 
-void Span::finish() noexcept {
-  if (!timing_) return;
-  const std::uint64_t end = now_ns();
-  const std::uint64_t dur = end - start_ns_;
-  if (pushed_) --tl_spans.depth;
-  if (!recording_) return;
-  timer_->record(dur);
+void record_event(const char* name, std::uint64_t start_ns,
+                  std::uint64_t dur_ns) noexcept {
   if (!capturing()) return;
   ThreadBuf& buf = thread_buf();
   std::lock_guard<std::mutex> lk(buf.mu);
@@ -248,7 +236,7 @@ void Span::finish() noexcept {
     ++buf.dropped;
     return;
   }
-  buf.events.push_back({name_, start_ns_, dur});
+  buf.events.push_back({name, start_ns, dur_ns});
 }
 
 const char* current_span_name() noexcept {
@@ -272,16 +260,12 @@ std::vector<Metric> snapshot() {
   std::uint64_t dropped = 0;
   {
     std::lock_guard<std::mutex> lk(reg.mu);
-    out.reserve(reg.counters.size() + reg.gauges.size() +
-                2 * reg.timers.size() + 1);
-    // A counter at 0, a timer never called or a gauge not set since the
-    // last reset is left out: a 0 would read as a measurement.
+    out.reserve(reg.counters.size() + 2 * reg.timers.size() + 1);
+    // A counter at 0 or a timer never called since the last reset is left
+    // out: a 0 would read as a measurement.
     for (const auto& [name, c] : reg.counters) {
       const std::uint64_t v = c->value();
       if (v != 0) out.push_back({name, static_cast<double>(v), v, true});
-    }
-    for (const auto& [name, g] : reg.gauges) {
-      if (g->has_value()) out.push_back({name, g->value(), 0, false});
     }
     for (const auto& [name, t] : reg.timers) {
       const std::uint64_t calls = t->calls();
@@ -380,7 +364,6 @@ void reset() {
   {
     std::lock_guard<std::mutex> lk(reg.mu);
     for (auto& [name, c] : reg.counters) c->reset();
-    for (auto& [name, g] : reg.gauges) g->reset();
     for (auto& [name, t] : reg.timers) t->reset();
     bufs = reg.bufs;
   }

@@ -1,20 +1,20 @@
 // Pipeline-wide tracing and metrics (the observability layer).
 //
-// Three primitives, all registered by name in a process-wide registry:
+// Two primitives, both registered by name in a process-wide registry:
 //
-//   * Span   — RAII scoped timer. Spans nest per thread; each one
-//              aggregates its duration into a Timer and, while capture is
-//              active, records a trace event on its thread's track.
-//   * Counter/Gauge — named monotonic counts / last-value gauges. Counts
-//              are relaxed atomic adds, so totals are exact and
-//              independent of which thread performed which add — counter
-//              values are thread-count invariant whenever the counted
-//              work is (see DESIGN.md §7).
-//   * Registry snapshot — a flat, key-sorted view of every nonzero
-//              counter, every gauge set since the last reset, and every
-//              timer called since then (`<timer>_seconds` /
-//              `<timer>_calls`), merged into
-//              BENCH_<name>.json artifacts by BenchJson.
+//   * Span    — RAII scoped timer. Spans nest per thread; each one
+//               aggregates its duration into a Timer and, while capture is
+//               active, records a trace event on its thread's track.
+//   * Counter — named monotonic count. Counts are relaxed atomic adds, so
+//               totals are exact and independent of which thread
+//               performed which add: counter values are thread-count
+//               invariant whenever the counted work is (see DESIGN.md §7).
+//
+// snapshot() flattens the registry into a key-sorted view of every nonzero
+// counter and every timer called since the last reset (`<timer>_seconds`
+// / `<timer>_calls`), which BenchJson merges into BENCH_<name>.json
+// artifacts. A quantity a run computes (a rate, a calibration score) is
+// not an obs metric: the experiment writes it as its own artifact key.
 //
 // Everything is OFF by default. The hot-path cost of a disabled span or
 // counter is one relaxed atomic load and a branch: no clock reads, no
@@ -26,17 +26,18 @@
 // chrome://tracing and https://ui.perfetto.dev.
 //
 // Thread attribution: the deterministic pool (common/parallel) binds each
-// worker to track "worker-<k>" via bind_worker(); when a parallel region
-// is dispatched, every participating thread opens a span named
-// "<span>/region" after the innermost span active on the dispatching
-// thread, so work fanned across workers nests under the region that
-// spawned it in the trace view, and summing a trace by name does not count
-// the parent span's time twice.
+// worker to track "worker-<k>" via bind_worker(). A dispatched parallel
+// region is timed once, by the dispatching thread, into the
+// "parallel.region" timer; every participating thread records a trace
+// event named "<span>/region" after the innermost span active on the
+// dispatching thread, so work fanned across workers nests under the region
+// that spawned it in the trace view, and summing a trace by name does not
+// count the parent span's time twice.
 //
 // Determinism contract: with tracing disabled nothing in this layer
 // perturbs any computation, and with it enabled only wall-clock values
-// (timer seconds, event timestamps) vary run-to-run — counter values and
-// the snapshot key sets they produce do not.
+// (timer seconds, event timestamps) vary run-to-run — counter values,
+// call counts and the snapshot key sets they produce do not.
 #pragma once
 
 #include <atomic>
@@ -97,31 +98,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// A named last-value gauge (e.g. a rate computed at the end of a phase).
-/// A gauge never set since the last reset has no value, not 0.
-class Gauge {
- public:
-  void set(double v) noexcept {
-    if (!enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-    has_value_.store(true, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool has_value() const noexcept {
-    return has_value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept {
-    value_.store(0.0, std::memory_order_relaxed);
-    has_value_.store(false, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> value_{0.0};
-  std::atomic<bool> has_value_{false};
-};
-
 /// Aggregated duration of every span opened against this timer.
 /// Snapshot keys: "<name>_seconds" (total) and "<name>_calls".
 class Timer {
@@ -155,45 +131,36 @@ class Timer {
 /// hot call sites cache them in function-local statics — see OBS_SPAN /
 /// OBS_COUNT below.
 Counter& counter(const std::string& name);
-Gauge& gauge(const std::string& name);
 Timer& timer(const std::string& name);
 
 /// RAII scoped timer. When metrics are enabled it times its scope into
 /// `timer` and pushes itself on the thread's span stack (giving nesting
 /// and the region name used for worker attribution); when capture is also
-/// active it records a trace event. Policy::kAlways additionally keeps
-/// the clock running even with metrics disabled so seconds() always works
-/// — that is what lets hand-rolled steady_clock sites (TwoStage's
-/// train_seconds) collapse onto Span without changing their output.
+/// active it records a trace event. With metrics off it reads no clock.
 class Span {
  public:
-  enum class Policy { kWhenEnabled, kAlways };
-
-  explicit Span(Timer& timer, Policy policy = Policy::kWhenEnabled)
-      : Span(timer, timer.name().c_str(), policy) {}
+  explicit Span(Timer& timer) : Span(timer, timer.name().c_str()) {}
   /// `display_name` overrides the trace-event name (must outlive the
   /// span; every call site passes a literal or a registry-owned name).
-  Span(Timer& timer, const char* display_name,
-       Policy policy = Policy::kWhenEnabled);
-  ~Span() { finish(); }
+  Span(Timer& timer, const char* display_name);
+  ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Elapsed seconds so far; 0.0 when the clock never started
-  /// (kWhenEnabled policy with metrics disabled).
-  [[nodiscard]] double seconds() const noexcept;
-
  private:
-  void finish() noexcept;
-
   Timer* timer_;
   const char* name_;
   std::uint64_t start_ns_ = 0;
-  bool timing_ = false;     ///< clock started (metrics on, or kAlways)
-  bool recording_ = false;  ///< contributes to timer/events
+  bool recording_ = false;  ///< metrics were on at construction
   bool pushed_ = false;     ///< sits on the thread's span stack
 };
+
+/// Records one trace event on the calling thread's track when capture is
+/// on, without timing it into any Timer. Pool workers use it for their
+/// share of a region, which only the dispatching thread times.
+void record_event(const char* name, std::uint64_t start_ns,
+                  std::uint64_t dur_ns) noexcept;
 
 /// Name of the innermost recording span on this thread, or nullptr.
 /// common/parallel names its region spans after it.
@@ -209,8 +176,7 @@ const char* intern(const std::string& name);
 void bind_worker(std::uint64_t worker_tid);
 
 /// One flattened metric for artifact export, sorted by key: nonzero
-/// counters (integral), gauges that have a value, and `_seconds` /
-/// `_calls` of each timer with calls.
+/// counters (integral) and `_seconds` / `_calls` of each timer with calls.
 struct Metric {
   std::string key;
   double value = 0.0;        ///< numeric value (counters cast too)
@@ -240,7 +206,7 @@ bool write_chrome_trace(const std::string& path);
 /// `REPRO_TRACE=out.json ./bench_<x>` needs no per-bench code.
 bool write_trace_if_requested();
 
-/// Zeroes every counter/gauge/timer and drops captured events. Metric
+/// Zeroes every counter and timer and drops captured events. Metric
 /// registrations and thread bindings survive (handles stay valid).
 void reset();
 

@@ -284,7 +284,7 @@ TEST_F(TwoStageTest, RunScoresTheTestWindowOnceLikeThePredictor) {
                 predictor.offender_mask().begin(),
                 predictor.offender_mask().end(), 1)));
   EXPECT_FALSE(run.degraded);
-  EXPECT_GT(run.train_seconds, 0.0);
+  EXPECT_GT(run.fit_seconds, 0.0);
   EXPECT_GT(run.survivor_rate, 0.0);
   EXPECT_LT(run.survivor_rate, 1.0);
 }
@@ -292,7 +292,7 @@ TEST_F(TwoStageTest, RunScoresTheTestWindowOnceLikeThePredictor) {
 TEST_F(TwoStageTest, TrainSecondsIsPopulated) {
   TwoStagePredictor predictor({});
   predictor.train(trace_, train_);
-  EXPECT_GT(predictor.train_seconds(), 0.0);
+  EXPECT_GT(predictor.fit_seconds(), 0.0);
 }
 
 // --- evaluation breakdowns -----------------------------------------------------

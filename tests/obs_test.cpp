@@ -59,17 +59,15 @@ TEST_F(ObsTest, DisabledPathIsANoOp) {
   c.add(5);
   EXPECT_EQ(c.value(), 0u);
 
-  // A kWhenEnabled span never starts its clock; kAlways always does, which
-  // is what keeps TwoStage::train_seconds live with tracing off.
+  // A span opened with metrics off records nothing and is not the
+  // innermost span.
   obs::Timer& t = obs::timer("obs_test.noop_timer");
-  const obs::Span off(t);
-  volatile double sink = 0.0;
-  for (int k = 0; k < 10000; ++k) sink = sink + 1.0;
-  EXPECT_EQ(off.seconds(), 0.0);
-  const obs::Span always(t, obs::Span::Policy::kAlways);
-  for (int k = 0; k < 10000; ++k) sink = sink + 1.0;
-  EXPECT_GT(always.seconds(), 0.0);
-  EXPECT_EQ(t.calls(), 0u);  // kAlways with metrics off times but never records
+  {
+    const obs::Span off(t);
+    EXPECT_EQ(obs::current_span_name(), nullptr);
+  }
+  EXPECT_EQ(t.calls(), 0u);
+  EXPECT_EQ(t.seconds(), 0.0);
 }
 
 TEST_F(ObsTest, CounterAggregatesExactlyAcrossThreadCounts) {
@@ -88,16 +86,8 @@ TEST_F(ObsTest, CounterAggregatesExactlyAcrossThreadCounts) {
 
 TEST_F(ObsTest, SnapshotHoldsOnlyWhatWasRecordedSinceReset) {
   obs::set_enabled(true);
-  obs::Gauge& g = obs::gauge("obs_test.gauge");
-  g.set(0.25);
-  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), 0.25);
-  obs::reset();
-  // Registered but unset: absent, never a phantom 0.
-  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), -1.0);
-  g.set(0.0);
-  EXPECT_EQ(metric_value(obs::snapshot(), "obs_test.gauge"), 0.0);
-
-  // Likewise a counter back at 0 and a timer without calls.
+  // A counter back at 0 and a timer without calls are absent, never a
+  // phantom 0.
   obs::Counter& c = obs::counter("obs_test.reset_counter");
   obs::Timer& t = obs::timer("obs_test.reset_timer");
   c.add(3);
@@ -174,7 +164,32 @@ TEST_F(ObsTest, ParallelRegionsAttributeToWorkerTracks) {
   // guarantees at least one worker joined.
   EXPECT_GE(region_tids.size(), 2u);
   EXPECT_EQ(outer_events, 1u);
-  EXPECT_GE(main_region_events, 1u);
+  EXPECT_EQ(main_region_events, 1u);
+  // Only the dispatching thread times the region.
+  EXPECT_EQ(obs::timer("parallel.region").calls(), 1u);
+}
+
+TEST_F(ObsTest, RegionCallsCountDispatchesNotWorkers) {
+  // parallel.region_calls is the number of dispatched regions, whichever
+  // workers joined them, so identical runs at one thread count agree.
+  obs::set_enabled(true);
+  set_parallel_threads(4);
+  constexpr std::uint64_t kRegions = 50;
+  for (std::uint64_t r = 0; r < kRegions; ++r) {
+    parallel_for(64, 1, [](std::size_t, std::size_t) {});
+  }
+  EXPECT_EQ(obs::timer("parallel.region").calls(), kRegions);
+
+  const sim::Trace& trace = shared_tiny_trace();
+  const auto region_calls = [&] {
+    obs::reset();
+    (void)core::run_two_stage(trace, {}, {0, day_start(20)},
+                              {day_start(20), day_start(30)});
+    return metric_value(obs::snapshot(), "parallel.region_calls");
+  };
+  const double first = region_calls();
+  EXPECT_GT(first, 0.0);
+  EXPECT_EQ(region_calls(), first);
 }
 
 TEST_F(ObsTest, SnapshotCountersAreThreadCountInvariant) {
@@ -183,9 +198,9 @@ TEST_F(ObsTest, SnapshotCountersAreThreadCountInvariant) {
   const Interval test{day_start(20), day_start(30)};
 
   // Counter values (exact integer totals of deterministic work) must not
-  // depend on the thread count. Timer `_seconds` are wall-clock and the
-  // pool's region-span call counts depend on how many workers join, so the
-  // comparison is over integral metrics excluding `_calls`.
+  // depend on the thread count. Timer `_seconds` are wall-clock and
+  // parallel.region_calls is 0 at one thread, so the comparison is over
+  // integral metrics excluding `_calls`.
   const auto run = [&](std::size_t threads) {
     obs::reset();
     obs::set_enabled(true);

@@ -5,7 +5,7 @@
 //
 //   bench_diff <old.json> <new.json> [--perf-tolerance <pct>]
 //
-// Two classes of keys are compared:
+// Three classes of keys are compared:
 //
 //   * eval metrics — last dot-segment f1/precision/recall/accuracy/auc/
 //     brier/ece. Any move beyond 1e-9, up or down, is a regression: eval
@@ -13,6 +13,11 @@
 //     sign is unannounced unless the committed artifact is re-baselined.
 //     An eval key of the old file that the new file lacks is a regression
 //     too.
+//   * ledger counts — last dot-segment injected/quarantined/repaired/
+//     samples_quarantined/sbe_quarantined/degraded/points: the robustness
+//     sweep's exact fault and repair counts. Any difference is a
+//     regression, and so is a ledger key of the old file that the new file
+//     lacks.
 //   * perf metrics — keys ending in "_seconds", compared when present in
 //     both files. A regression is new > old * (1 + tolerance); default
 //     tolerance 25%, settable via --perf-tolerance (percent) to absorb
@@ -79,6 +84,13 @@ bool is_eval_key(const std::string& key) {
          leaf == "ece";
 }
 
+bool is_ledger_key(const std::string& key) {
+  const std::string leaf = last_segment(key);
+  return leaf == "injected" || leaf == "quarantined" || leaf == "repaired" ||
+         leaf == "samples_quarantined" || leaf == "sbe_quarantined" ||
+         leaf == "degraded" || leaf == "points";
+}
+
 bool is_perf_key(const std::string& key) {
   constexpr const char* kSuffix = "_seconds";
   const std::size_t n = std::strlen(kSuffix);
@@ -114,15 +126,17 @@ int main(int argc, char** argv) {
 
   int regressions = 0;
   std::size_t eval_compared = 0;
+  std::size_t ledger_compared = 0;
   std::size_t perf_compared = 0;
   for (const auto& [key, old_v] : *old_doc) {
     const bool eval = is_eval_key(key);
+    const bool ledger = is_ledger_key(key);
     const auto it = new_doc->find(key);
     if (it == new_doc->end()) {
-      if (eval) {
+      if (eval || ledger) {
         ++regressions;
-        std::printf("EVAL REGRESSION  %-40s %.9g -> missing\n", key.c_str(),
-                    old_v);
+        std::printf("%s REGRESSION  %-40s %.9g -> missing\n",
+                    eval ? "EVAL" : "LEDGER", key.c_str(), old_v);
       }
       continue;
     }
@@ -133,6 +147,13 @@ int main(int argc, char** argv) {
         ++regressions;
         std::printf("EVAL REGRESSION  %-40s %.9g -> %.9g (%s)\n", key.c_str(),
                     old_v, new_v, new_v > old_v ? "rose" : "dropped");
+      }
+    } else if (ledger) {
+      ++ledger_compared;
+      if (new_v != old_v) {
+        ++regressions;
+        std::printf("LEDGER REGRESSION  %-40s %.9g -> %.9g\n", key.c_str(),
+                    old_v, new_v);
       }
     } else if (is_perf_key(key)) {
       ++perf_compared;
@@ -145,9 +166,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("bench_diff: %s vs %s — %zu eval, %zu perf keys compared\n",
-              paths[0].c_str(), paths[1].c_str(), eval_compared,
-              perf_compared);
+  std::printf(
+      "bench_diff: %s vs %s — %zu eval, %zu ledger, %zu perf keys compared\n",
+      paths[0].c_str(), paths[1].c_str(), eval_compared, ledger_compared,
+      perf_compared);
   if (regressions > 0) {
     std::printf("%d regression%s found\n", regressions,
                 regressions == 1 ? "" : "s");
