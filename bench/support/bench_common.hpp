@@ -168,10 +168,37 @@ inline sim::SimConfig paper_config() {
   return cfg;
 }
 
+/// A run's audit numbers (DESIGN.md §8) under `model`: the test window's
+/// positive rate, the stage-1 survivor rates, the train rows' positive rate
+/// and the train-vs-test feature drift. A rate or report the run could not
+/// compute is left out rather than written as a 0.
+inline std::vector<std::pair<std::string, double>> audit_keys(
+    const std::string& model, const core::TwoStageRun& run) {
+  std::vector<std::pair<std::string, double>> k;
+  const auto set = [&](const char* leaf, double value) {
+    k.emplace_back(model + "." + leaf, value);
+  };
+  if (run.quality.valid) set("positive_rate", run.quality.positive_rate);
+  if (!run.degraded) {
+    if (!run.idx.empty()) set("survivor_rate", run.survivor_rate);
+    set("train_survivor_rate", run.train_survivor_rate);
+    set("train_positive_rate", run.train_positive_rate);
+  }
+  const audit::DriftSummary& d = run.drift;
+  if (d.valid) {
+    set("psi_max", d.psi_max);
+    set("psi_argmax_feature", static_cast<double>(d.psi_argmax));
+    set("ks_max", d.ks_max);
+    set("ks_argmax_feature", static_cast<double>(d.ks_argmax));
+    set("psi_drifted_features", static_cast<double>(d.psi_drifted));
+  }
+  return k;
+}
+
 /// What the experiments share: one trace, its train/test splits, Basic A
 /// per split and a grid of TwoStage runs keyed on (split, whole config).
 /// Each cell is computed on first request, one at a time with the whole
-/// thread pool, so a run's train_seconds always means "this fit ran
+/// thread pool, so a run's fit_seconds always means "this fit ran
 /// alone", whichever experiment asked first.
 class Context {
  public:
