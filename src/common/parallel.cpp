@@ -1,13 +1,16 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -21,33 +24,9 @@ std::atomic<std::size_t> g_threads{0};  // 0 = not initialized yet
 
 thread_local bool tl_in_worker = false;
 
-// One dispatched parallel region. Workers hold a shared_ptr, so a worker
-// that wakes late for an already-finished job sees an exhausted chunk
-// counter and goes back to sleep without touching the next job's state.
-struct Job {
-  explicit Job(std::size_t n, std::size_t max_helpers,
-               const std::function<void(std::size_t)>& f)
-      : chunks(n), helpers(max_helpers), fn(f) {}
-
-  const std::size_t chunks;
-  const std::size_t helpers;        // workers allowed to join (main joins too)
-  const std::function<void(std::size_t)>& fn;
-  // Observability label for this region: "<span>/region" after the
-  // innermost span open on the dispatching thread (nullptr when metrics
-  // are off). The dispatching thread times the region under this name, and
-  // every worker that drains chunks records a trace event with it on its
-  // own track, so fanned-out work nests under the region that spawned it
-  // without repeating the parent span's name.
-  const char* obs_region = nullptr;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::size_t joined = 0;           // guarded by the pool mutex
-  std::size_t events_closed = 0;    // joined workers past their region
-                                    // event (guarded by the pool mutex)
-  std::mutex error_mutex;
-  std::exception_ptr error;
-};
-
+// One job slot, reused by every dispatch (protocol in parallel.hpp). Once
+// the dispatcher's own drain ends and active_ is 0, every chunk is done:
+// each was claimed by the dispatcher or by a worker that has since left.
 class Pool {
  public:
   static Pool& instance() {
@@ -56,47 +35,56 @@ class Pool {
   }
 
   void run(std::size_t chunks, const std::function<void(std::size_t)>& fn) {
+    if (chunks == 0) return;
     // Serialize top-level dispatches; nested ones never get here (they run
     // inline in parallel_for_chunks).
     std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
-    const std::size_t helpers = parallel_threads() - 1;
-    ensure_workers(helpers);
-    auto job = std::make_shared<Job>(chunks, helpers, fn);
+    const std::size_t wanted = std::min(parallel_threads(), chunks) - 1;
+    ensure_workers(wanted);
+    // Observability label for this region: "<span>/region" after the
+    // innermost span open on the dispatching thread (nullptr when metrics
+    // are off). The dispatcher times the region under this name, and every
+    // worker that joins records a trace event with it on its own track, so
+    // fanned-out work nests under the region that spawned it without
+    // repeating the parent span's name.
+    const char* region = nullptr;
     if (obs::enabled()) {
       const char* span = obs::current_span_name();
-      job->obs_region = obs::intern(
+      region = obs::intern(
           std::string(span != nullptr ? span : "parallel_for") + "/region");
     }
     {
       std::lock_guard<std::mutex> lk(mutex_);
-      job_ = job;
+      fn_ = &fn;
+      chunks_ = chunks;
+      region_ = region;
+      next_.store(0, std::memory_order_relaxed);
+      ++generation_;
+      joined_ = 0;
+      wanted_ = wanted;
     }
-    cv_.notify_all();
+    for (std::size_t i = 0; i < wanted; ++i) cv_.notify_one();
     // The dispatching thread works too; while it drains chunks it counts as
     // inside the region, so nested parallel calls from fn run inline.
     tl_in_worker = true;
-    if (job->obs_region != nullptr) {
+    if (region != nullptr) {
       // One timed span per dispatched region: parallel.region_calls counts
       // dispatches, which do not depend on how many workers joined.
       static obs::Timer& region_timer = obs::timer("parallel.region");
-      const obs::Span span(region_timer, job->obs_region);
-      drain(*job);
+      const obs::Span span(region_timer, region);
+      drain(fn, chunks);
     } else {
-      drain(*job);
+      drain(fn, chunks);
     }
     tl_in_worker = false;
+    std::exception_ptr error;
     {
       std::unique_lock<std::mutex> lk(mutex_);
-      // A traced region also waits for every joined worker to record its
-      // event, so a trace read right after the region holds all of them.
-      done_cv_.wait(lk, [&] {
-        return job->done.load(std::memory_order_acquire) == job->chunks &&
-               (job->obs_region == nullptr ||
-                job->events_closed == job->joined);
-      });
-      job_.reset();
+      wanted_ = 0;  // no further joins
+      done_cv_.wait(lk, [&] { return active_ == 0; });
+      error = std::exchange(error_, nullptr);
     }
-    if (job->error) std::rethrow_exception(job->error);
+    if (error) std::rethrow_exception(error);
   }
 
  private:
@@ -126,57 +114,61 @@ class Pool {
 
   void worker_loop() {
     tl_in_worker = true;
-    std::shared_ptr<Job> last;
+    std::uint64_t seen = 0;  // last generation this worker joined
+    std::unique_lock<std::mutex> lk(mutex_);
     for (;;) {
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock<std::mutex> lk(mutex_);
-        cv_.wait(lk, [&] {
-          return stop_ || (job_ != nullptr && job_ != last &&
-                           job_->joined < job_->helpers);
-        });
-        if (stop_) return;
-        job = job_;
-        ++job->joined;
-      }
-      last = job;
-      if (job->obs_region != nullptr) {
+      cv_.wait(lk, [&] {
+        return stop_ || (generation_ != seen && joined_ < wanted_);
+      });
+      if (stop_) return;
+      seen = generation_;
+      ++joined_;
+      ++active_;
+      const std::function<void(std::size_t)>& fn = *fn_;
+      const std::size_t chunks = chunks_;
+      const char* region = region_;
+      lk.unlock();
+      if (region != nullptr) {
         const std::uint64_t start = obs::now_ns();
-        drain(*job);
-        obs::record_event(job->obs_region, start, obs::now_ns() - start);
-        std::lock_guard<std::mutex> lk(mutex_);
-        ++job->events_closed;
-        done_cv_.notify_all();
+        drain(fn, chunks);
+        obs::record_event(region, start, obs::now_ns() - start);
       } else {
-        drain(*job);
+        drain(fn, chunks);
       }
+      lk.lock();
+      if (--active_ == 0) done_cv_.notify_one();
     }
   }
 
-  void drain(Job& job) {
+  void drain(const std::function<void(std::size_t)>& fn, std::size_t chunks) {
     for (;;) {
-      const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= job.chunks) return;
+      const std::size_t c = next_.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
       try {
-        job.fn(c);
+        fn(c);
       } catch (...) {
-        std::lock_guard<std::mutex> lk(job.error_mutex);
-        if (!job.error) job.error = std::current_exception();
-      }
-      if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.chunks) {
-        std::lock_guard<std::mutex> lk(mutex_);  // pairs with done_cv_ wait
-        done_cv_.notify_all();
+        std::lock_guard<std::mutex> lk(mutex_);
+        if (!error_) error_ = std::current_exception();
       }
     }
   }
 
-  std::mutex dispatch_mutex_;
+  std::mutex dispatch_mutex_;  // serializes top-level dispatches
+  // The job slot and the worker bookkeeping; all but next_ guarded by mutex_.
   std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;
-  std::shared_ptr<Job> job_;
+  std::condition_variable cv_;       // workers: a job slot opened, or stop
+  std::condition_variable done_cv_;  // dispatcher: active_ reached 0
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t chunks_ = 0;
+  const char* region_ = nullptr;
+  std::atomic<std::size_t> next_{0};  // next unclaimed chunk
+  std::uint64_t generation_ = 0;
+  std::size_t joined_ = 0;  // workers that joined this generation
+  std::size_t wanted_ = 0;  // helpers this generation may take; 0 = closed
+  std::size_t active_ = 0;  // joined workers still inside the region
+  std::exception_ptr error_;
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: workers use every member above
 };
 
 std::size_t default_threads() noexcept {

@@ -25,19 +25,34 @@
 // e.g. a model fit inside a parallel model sweep) run inline serially;
 // chunk grids are unchanged, so nesting does not perturb results either.
 //
+// Dispatch: the pool owns one job slot. Top-level dispatches are
+// serialized; each fills the slot (function, chunk count, region name)
+// under the pool mutex with a new generation number and wakes
+// min(threads, chunks) - 1 helpers, one notify each. A worker joins while
+// fewer than that many have joined the generation, drains chunks, records
+// its trace event and leaves the region. The dispatcher drains chunks too,
+// then closes the slot to further joins, waits until no joined worker is
+// left inside, and rethrows the first exception a chunk threw.
+//
 // Observability (src/obs): when tracing is enabled, each pool worker is
 // bound to trace track "worker-<k>". The dispatching thread times each
 // dispatched region once into the "parallel.region" timer, and every
 // thread draining it records a trace event named "<span>/region" after the
 // innermost span on the dispatching thread, so fanned-out work attributes
-// to the right worker and nests under the region that spawned it. With
-// tracing disabled the only cost per dispatch is one relaxed atomic load.
+// to the right worker and nests under the region that spawned it. Workers
+// record their event before they leave, so a trace read right after a
+// region holds every event. Each region that runs inline (one chunk, one
+// thread, or nested) counts once into the "parallel.inline_calls" counter.
+// With metrics disabled the only cost per region is one relaxed atomic
+// load.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <utility>
 #include <vector>
+
+#include "obs/obs.hpp"
 
 namespace repro {
 
@@ -86,6 +101,7 @@ inline void parallel_for_chunks(
   const std::size_t chunks = chunk_count(n, grain);
   if (chunks == 0) return;
   if (chunks == 1 || parallel_threads() <= 1 || in_parallel_region()) {
+    OBS_COUNT("parallel.inline_calls");
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t begin = c * grain;
       const std::size_t end = begin + grain < n ? begin + grain : n;

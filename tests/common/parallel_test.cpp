@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#include "obs/obs.hpp"
 
 namespace repro {
 namespace {
@@ -189,6 +194,128 @@ TEST_F(ParallelTest, EmptyRangeIsANoOp) {
                 [](std::size_t, std::size_t) { return 1; },
                 [](int a, int b) { return a + b; }),
             42);
+}
+
+// --- the dispatch protocol ---------------------------------------------------
+
+// Pool tests that capture trace events; they leave obs off and empty.
+class PoolTest : public ParallelTest {
+ protected:
+  void TearDown() override {
+    obs::reset();
+    obs::set_enabled(false);
+    obs::set_capturing(false);
+    ParallelTest::TearDown();
+  }
+};
+
+// Sum of [0, n) through the pool, one chunk per `grain` indices.
+std::uint64_t pool_sum(std::size_t n, std::size_t grain) {
+  return parallel_reduce(
+      n, grain, std::uint64_t{0},
+      [](std::size_t b, std::size_t e) {
+        std::uint64_t s = 0;
+        for (std::size_t i = b; i < e; ++i) s += i;
+        return s;
+      },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+}
+
+// Runs one region of `chunks` chunks, each long enough for woken helpers to
+// arrive, and returns how many "<span>/region" events it recorded.
+std::size_t region_events(std::size_t chunks) {
+  obs::reset();
+  parallel_for(chunks, 1, [](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
+  std::size_t events = 0;
+  for (const obs::TraceEvent& e : obs::captured_events()) {
+    if (e.name == "parallel_for/region") ++events;
+  }
+  return events;
+}
+
+TEST_F(PoolTest, TwoChunkRegionWakesOneHelper) {
+  // Only the dispatcher and one helper can take a share of two chunks, so
+  // no more than two threads may join and record an event.
+  obs::set_enabled(true);
+  obs::set_capturing(true);
+  set_parallel_threads(4);
+  for (int r = 0; r < 200; ++r) {
+    const std::size_t events = region_events(2);
+    ASSERT_GE(events, 1u) << "region " << r;
+    ASSERT_LE(events, 2u) << "region " << r;
+  }
+}
+
+TEST_F(PoolTest, ConcurrentDispatchersBothGetCorrectSums) {
+  // Top-level dispatches from two threads share the one job slot in turn.
+  set_parallel_threads(4);
+  constexpr std::size_t kN = 1 << 14;
+  constexpr std::uint64_t kSum = std::uint64_t{kN} * (kN - 1) / 2;
+  std::atomic<int> wrong{0};
+  const auto dispatcher = [&] {
+    for (int r = 0; r < 500; ++r) {
+      if (pool_sum(kN, 256) != kSum) wrong.fetch_add(1);
+    }
+  };
+  std::thread a(dispatcher);
+  std::thread b(dispatcher);
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST_F(PoolTest, ThreadCountChangesBetweenDispatches) {
+  // Workers spawned at 8 threads stay parked at 2: a region then takes at
+  // most one helper, and growing back to 8 reuses them.
+  obs::set_enabled(true);
+  obs::set_capturing(true);
+  constexpr std::size_t kN = 1000;
+  constexpr std::uint64_t kSum = kN * (kN - 1) / 2;
+  for (const std::size_t threads : {8u, 2u, 8u}) {
+    set_parallel_threads(threads);
+    for (int r = 0; r < 50; ++r) {
+      ASSERT_EQ(pool_sum(kN, 10), kSum) << threads << " threads";
+    }
+    for (int r = 0; r < 20; ++r) {
+      const std::size_t events = region_events(8);
+      ASSERT_GE(events, 1u) << threads << " threads";
+      ASSERT_LE(events, threads) << threads << " threads";
+    }
+  }
+}
+
+TEST_F(PoolTest, ErrorStaysWithTheRegionThatThrew) {
+  set_parallel_threads(4);
+  constexpr std::size_t kN = 1 << 14;
+  constexpr std::uint64_t kSum = std::uint64_t{kN} * (kN - 1) / 2;
+  std::atomic<int> missed_throws{0};
+  std::atomic<int> foreign_errors{0};
+  std::thread thrower([&] {
+    for (int r = 0; r < 300; ++r) {
+      try {
+        parallel_for(64, 4, [](std::size_t begin, std::size_t) {
+          if (begin == 32) throw std::runtime_error("boom");
+        });
+        missed_throws.fetch_add(1);
+      } catch (const std::runtime_error&) {
+      }
+    }
+  });
+  std::thread clean([&] {
+    for (int r = 0; r < 300; ++r) {
+      try {
+        if (pool_sum(kN, 256) != kSum) foreign_errors.fetch_add(1);
+      } catch (...) {
+        foreign_errors.fetch_add(1);
+      }
+    }
+  });
+  thrower.join();
+  clean.join();
+  EXPECT_EQ(missed_throws.load(), 0);
+  EXPECT_EQ(foreign_errors.load(), 0);
 }
 
 }  // namespace

@@ -192,6 +192,31 @@ TEST_F(ObsTest, RegionCallsCountDispatchesNotWorkers) {
   EXPECT_EQ(region_calls(), first);
 }
 
+TEST_F(ObsTest, InlineCallsCountRegionsThatSkipThePool) {
+  obs::set_enabled(true);
+  const auto nested_sweep = [] {
+    parallel_for(4, 1, [](std::size_t, std::size_t) {
+      parallel_for(64, 1, [](std::size_t, std::size_t) {});
+    });
+  };
+  // One thread: the outer region and its four nested ones all run inline,
+  // and nothing is dispatched.
+  nested_sweep();
+  const std::vector<obs::Metric> at1 = obs::snapshot();
+  EXPECT_EQ(metric_value(at1, "parallel.inline_calls"), 5.0);
+  EXPECT_EQ(metric_value(at1, "parallel.region_calls"), -1.0);  // absent
+
+  // Four threads: the outer region is dispatched; its nested regions and a
+  // one-chunk region still run inline.
+  obs::reset();
+  set_parallel_threads(4);
+  nested_sweep();
+  parallel_for(64, 64, [](std::size_t, std::size_t) {});
+  const std::vector<obs::Metric> at4 = obs::snapshot();
+  EXPECT_EQ(metric_value(at4, "parallel.inline_calls"), 5.0);
+  EXPECT_EQ(metric_value(at4, "parallel.region_calls"), 1.0);
+}
+
 TEST_F(ObsTest, SnapshotCountersAreThreadCountInvariant) {
   const sim::Trace& trace = shared_tiny_trace();
   const Interval train{0, day_start(20)};
