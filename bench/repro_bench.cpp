@@ -761,7 +761,7 @@ struct Experiment {
 
 // In paper order. The first experiment to request a cell trains it, so in
 // a full run Table III reads fits that Fig 10 timed, and its obs.* keys
-// hold no fit (run `--only table3` for them).
+// hold no training phase (run `--only table3` for them).
 const Experiment kExperiments[] = {
     {"fig01", "Fig 1: distribution of GPU error offender nodes (cabinet level)",
      "non-uniform spatial distribution; ~80% of offenders err on <20% of days",

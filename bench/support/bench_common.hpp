@@ -206,11 +206,7 @@ class Context {
           std::string cache_dir)
       : config_(std::move(config)),
         splits_(std::move(splits)),
-        cache_dir_(std::move(cache_dir)) {
-    // Run quality (TwoStageRun::quality) and the cache-hit flag below are
-    // only recorded with obs metrics on.
-    obs::set_enabled(true);
-  }
+        cache_dir_(std::move(cache_dir)) {}
 
   [[nodiscard]] const sim::SimConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<core::SplitSpec>& splits() const {
@@ -223,10 +219,7 @@ class Context {
       std::fprintf(stderr, "[bench] loading/simulating the %lld-day trace "
                    "(cache: %s/)...\n",
                    static_cast<long long>(config_.days), cache_dir_.c_str());
-      obs::Counter& hits = obs::counter("sim.trace_cache_hits");
-      const std::uint64_t before = hits.value();
-      trace_.emplace(sim::cached_simulate(config_, cache_dir_));
-      cache_hit_ = hits.value() > before;
+      trace_.emplace(sim::cached_simulate(config_, cache_dir_, &cache_hit_));
     }
     return *trace_;
   }

@@ -4,18 +4,18 @@
 //   * Quality assessment — Brier score, ROC-AUC, reliability bins and ECE
 //     over (truth, probability) pairs (ml/metrics primitives).
 //   * Drift detection — see audit/drift.hpp.
-//   Both come back as values in core::TwoStageRun (filled when obs metrics
-//   are on). Table III writes the DS1 GBDT run's as its own artifact keys
-//   (`GBDT.auc`, `GBDT.brier`, `GBDT.psi_max`, ...).
+//   Both come back as values in every core::TwoStageRun. Table III writes
+//   the DS1 GBDT run's as its own artifact keys (`GBDT.auc`, `GBDT.brier`,
+//   `GBDT.psi_max`, ...).
 //   * Prediction audit log — an opt-in JSONL sink (REPRO_AUDIT=<path>)
 //     with one manifest line per trained model and one record per
 //     prediction: score, threshold, decision, truth, stage-1 outcome, and
 //     the top-k per-feature score contributions (ml::Model::explain).
 //
-// Determinism contract: with the sink inactive and obs disabled, nothing
-// here runs — call sites gate on audit::sink() / obs::enabled(), and every
-// audit computation is a pure read of pipeline state, so audit-on vs
-// audit-off pipelines produce bit-identical predictions and metrics. The
+// Determinism contract: every audit computation is a pure read of pipeline
+// state, and the sink writes only while active (call sites gate on
+// audit::sink()), so audit-on vs audit-off pipelines produce bit-identical
+// predictions and metrics. The
 // JSONL writer builds record lines in parallel into an index-addressed
 // buffer and flushes them in index order under one mutex, so runs made one
 // after another produce byte-identical files for any REPRO_THREADS;

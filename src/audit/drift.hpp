@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "ml/matrix.hpp"
@@ -29,8 +28,7 @@ struct FeatureDrift {
 };
 
 /// Result of one train-vs-test comparison, plus the argmax features Table
-/// III reports. Name fields are filled by the caller that knows the
-/// feature naming (core::TwoStagePredictor).
+/// III reports.
 struct DriftSummary {
   bool valid = false;
   std::vector<FeatureDrift> per_feature;
@@ -43,8 +41,6 @@ struct DriftSummary {
   /// trace), so this count — not psi_max — is the signal that moves when
   /// the machine itself changes.
   std::size_t psi_drifted = 0;
-  std::string psi_argmax_name;
-  std::string ks_argmax_name;
 };
 
 class DriftDetector {
@@ -63,7 +59,7 @@ class DriftDetector {
   [[nodiscard]] std::size_t features() const noexcept { return edges_.size(); }
 
   /// PSI/KS of every feature of test_X against the train reference.
-  /// test_X must have fit()'s width. Summary names are left empty.
+  /// test_X must have fit()'s width.
   [[nodiscard]] DriftSummary compare(const ml::Matrix& test_X) const;
 
  private:

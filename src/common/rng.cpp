@@ -131,21 +131,6 @@ std::uint64_t Rng::poisson(double mean) noexcept {
   return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
 }
 
-std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
-  // Rejection sampling (Devroye); adequate for cold paths.
-  const double b = std::pow(2.0, s - 1.0);
-  for (;;) {
-    const double u = uniform();
-    const double v = uniform();
-    const double x = std::floor(std::pow(u, -1.0 / (s - 1.0 + 1e-12)));
-    if (x < 1.0 || x > static_cast<double>(n)) continue;
-    const double t = std::pow(1.0 + 1.0 / x, s - 1.0);
-    if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
-      return static_cast<std::uint64_t>(x) - 1;
-    }
-  }
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   REPRO_CHECK_MSG(k <= n, "cannot sample " << k << " from " << n);

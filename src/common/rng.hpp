@@ -72,11 +72,6 @@ class Rng {
   /// Uses Knuth's method for small means and normal approximation above 32.
   std::uint64_t poisson(double mean) noexcept;
 
-  /// Zipf-distributed rank in [0, n) with exponent s (> 0): P(k) ∝ 1/(k+1)^s.
-  /// O(log n) via binary search on a caller-provided cumulative table is
-  /// preferred for hot paths; this method is O(n) setup-free rejection.
-  std::uint64_t zipf(std::uint64_t n, double s) noexcept;
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {

@@ -38,11 +38,6 @@ class BasicScheme {
   [[nodiscard]] std::vector<ml::Label> predict(
       const sim::Trace& trace, std::span<const std::size_t> idx) const;
 
-  [[nodiscard]] BasicKind kind() const noexcept { return kind_; }
-  [[nodiscard]] const std::vector<char>& offender_nodes() const noexcept {
-    return offender_nodes_;
-  }
-
  private:
   BasicKind kind_;
   std::uint64_t seed_;

@@ -68,17 +68,16 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
   train_positive_rate_ = static_cast<double>(train_set.positives()) /
                          static_cast<double>(train_set.size());
 
-  // Model-quality observability (DESIGN.md §8): remember the scaled
-  // training distribution so predict-time drift has a reference. A pure
-  // read — skipping it (obs off) cannot change anything downstream.
-  if (obs::enabled()) {
+  // Model-quality audit (DESIGN.md §8): remember the scaled training
+  // distribution so predict-time drift has a reference. A pure read of the
+  // training matrix.
+  {
     OBS_SPAN("audit.drift_fit");
     drift_.fit(train_set.X);
   }
 
   model_ = ml::make_model(config_.model, config_.seed);
-  // Table III's fit seconds are measured with obs on or off; the model's
-  // own `<model>.fit` span times the same fit for the artifact's obs keys.
+  // Table III's fit seconds: the one timing of the stage-2 fit.
   const auto fit_start = std::chrono::steady_clock::now();
   model_->fit(train_set);
   fit_seconds_ = std::chrono::duration<double>(
@@ -142,14 +141,9 @@ std::vector<float> TwoStagePredictor::predict_proba(
   // Train-vs-serve drift over the features the model actually scored
   // (stage-2 survivors); a degraded period points at the features that
   // moved. Reads the fitted reference + the local matrix only.
-  if (drift != nullptr && drift_.fitted()) {
+  if (drift != nullptr) {
     OBS_SPAN("audit.drift_compare");
     *drift = drift_.compare(features);
-    if (drift->valid) {
-      const auto& names = extractor_->names();
-      drift->psi_argmax_name = names[drift->psi_argmax];
-      drift->ks_argmax_name = names[drift->ks_argmax];
-    }
   }
   const std::vector<float> proba = model_->predict_proba_many(features);
   for (std::size_t i = 0; i < accepted.size(); ++i) {
@@ -228,8 +222,7 @@ TwoStageRun run_two_stage(const sim::Trace& trace,
 
   OBS_SPAN("two_stage.evaluate");
   run.idx = samples_in(trace, test);
-  run.pred = predictor.predict(trace, run.idx, &run.proba,
-                               obs::enabled() ? &run.drift : nullptr);
+  run.pred = predictor.predict(trace, run.idx, &run.proba, &run.drift);
   const std::vector<ml::Label> truth = labels_of(trace, run.idx);
   run.metrics = ml::evaluate(truth, run.pred);
   if (!run.idx.empty()) {
@@ -241,9 +234,7 @@ TwoStageRun run_two_stage(const sim::Trace& trace,
     }
     run.survivor_rate = static_cast<double>(survivors) /
                         static_cast<double>(run.idx.size());
-    // Calibration rides the obs switch like the rest of the audit layer;
-    // assess() is a pure read of (truth, proba).
-    if (obs::enabled()) run.quality = audit::assess(truth, run.proba);
+    run.quality = audit::assess(truth, run.proba);
   }
   return run;
 }

@@ -55,9 +55,8 @@ class TwoStagePredictor {
   void train(const sim::Trace& trace, Interval train_window);
 
   /// P(SBE) per sample; stage-1 rejects get probability 0. Pure: when
-  /// `drift` is non-null and train() fitted a drift reference (obs metrics
-  /// were on), it also receives the train-vs-serve feature drift of the
-  /// stage-2 survivors (DESIGN.md §8).
+  /// `drift` is non-null and stage 2 trained, it also receives the
+  /// train-vs-serve feature drift of the stage-2 survivors (DESIGN.md §8).
   [[nodiscard]] std::vector<float> predict_proba(
       const sim::Trace& trace, std::span<const std::size_t> idx,
       audit::DriftSummary* drift = nullptr) const;
@@ -135,9 +134,9 @@ struct TwoStageRun {
   double train_survivor_rate = 0.0;
   double train_positive_rate = 0.0;
   double survivor_rate = 0.0;    ///< share of idx on offender nodes
-  /// Model-quality audit (DESIGN.md §8), filled only when obs metrics are
-  /// on: calibration of proba against truth (non-empty test window) and
-  /// train-vs-test feature drift (stage 2 trained).
+  /// Model-quality audit (DESIGN.md §8): calibration of proba against
+  /// truth (non-empty test window) and train-vs-test feature drift (stage 2
+  /// trained, some test sample on an offender node).
   audit::QualityReport quality;
   audit::DriftSummary drift;
 };

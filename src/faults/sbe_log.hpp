@@ -23,6 +23,9 @@ struct SbeEvent {
   Minute start = 0;      ///< aprun start
   Minute end = 0;        ///< aprun end == observation time
   std::uint32_t count = 0;
+  /// Fills the tail so the record has no padding: save_trace writes events
+  /// raw, and padding would carry indeterminate bytes into the cache file.
+  std::uint32_t reserved = 0;
 };
 
 /// Latest observation minute SbeLog accepts: ten years. Its machine-wide

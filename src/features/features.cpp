@@ -42,7 +42,6 @@ FeatureExtractor::FeatureExtractor(const sim::Trace& trace,
                                    const FeatureSpec& spec)
     : trace_(trace), topology_(trace.system), spec_(spec) {
   REPRO_CHECK_MSG(spec_.mask != 0, "empty feature mask");
-  REPRO_CHECK(spec_.app_hash_buckets > 0 && spec_.prev_app_hash_buckets > 0);
   build_names();
 }
 
@@ -51,10 +50,10 @@ void FeatureExtractor::build_names() {
   const FeatureMask m = spec_.mask;
 
   if (m & kFeatApp) {
-    for (std::size_t b = 0; b < spec_.app_hash_buckets; ++b) {
+    for (std::size_t b = 0; b < kAppHashBuckets; ++b) {
       names_.push_back("app_hash_" + std::to_string(b));
     }
-    for (std::size_t b = 0; b < spec_.prev_app_hash_buckets; ++b) {
+    for (std::size_t b = 0; b < kPrevAppHashBuckets; ++b) {
       names_.push_back("prev_app_hash_" + std::to_string(b));
     }
     names_.push_back("app_id");
@@ -108,16 +107,15 @@ void FeatureExtractor::extract(const sim::RunNodeSample& s,
   std::size_t k = 0;
 
   if (m & kFeatApp) {
-    const std::size_t ab = spec_.app_hash_buckets;
-    for (std::size_t b = 0; b < ab; ++b) out[k + b] = 0.0f;
-    out[k + hash64(static_cast<std::uint64_t>(s.app)) % ab] = 1.0f;
-    k += ab;
-    const std::size_t pb = spec_.prev_app_hash_buckets;
-    for (std::size_t b = 0; b < pb; ++b) out[k + b] = 0.0f;
+    for (std::size_t b = 0; b < kAppHashBuckets; ++b) out[k + b] = 0.0f;
+    out[k + hash64(static_cast<std::uint64_t>(s.app)) % kAppHashBuckets] = 1.0f;
+    k += kAppHashBuckets;
+    for (std::size_t b = 0; b < kPrevAppHashBuckets; ++b) out[k + b] = 0.0f;
     if (s.prev_app >= 0) {
-      out[k + hash64(static_cast<std::uint64_t>(s.prev_app)) % pb] = 1.0f;
+      out[k + hash64(static_cast<std::uint64_t>(s.prev_app)) %
+                  kPrevAppHashBuckets] = 1.0f;
     }
-    k += pb;
+    k += kPrevAppHashBuckets;
     out[k++] = static_cast<float>(s.app);
     out[k++] = static_cast<float>(s.prev_app);
     out[k++] = s.runtime_min;

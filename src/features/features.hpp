@@ -80,10 +80,12 @@ inline constexpr FeatureMask kSetCurPrev = kAllFeatures & ~kFeatTpNei;
 inline constexpr FeatureMask kSetCurNei = kAllFeatures & ~kFeatTpPrev;
 inline constexpr FeatureMask kSetCurPrevNei = kAllFeatures;
 
+/// One-hot widths of the app-name and previous-app hash features.
+inline constexpr std::size_t kAppHashBuckets = 16;
+inline constexpr std::size_t kPrevAppHashBuckets = 8;
+
 struct FeatureSpec {
   FeatureMask mask = kAllFeatures;
-  std::size_t app_hash_buckets = 16;      ///< one-hot width for app name
-  std::size_t prev_app_hash_buckets = 8;  ///< one-hot width for prev app
   /// Approach 2 (Sec. VI-A / VIII): replace the measured current-run T/P
   /// statistics with AR(2) forecasts computed from the telemetry observed
   /// BEFORE the run starts, so every feature is available a priori.
@@ -101,7 +103,6 @@ class FeatureExtractor {
   [[nodiscard]] const std::vector<std::string>& names() const noexcept {
     return names_;
   }
-  [[nodiscard]] const FeatureSpec& spec() const noexcept { return spec_; }
 
   /// Fills `out` (size dim()) for one sample. History features look at the
   /// SbeLog strictly before the sample's start minute.

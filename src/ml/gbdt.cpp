@@ -598,7 +598,6 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
 }
 
 void GradientBoostedTrees::fit(const Dataset& train) {
-  OBS_SPAN("gbdt.fit");
   train.validate();
   REPRO_CHECK_MSG(train.size() > 0, "empty training set");
   REPRO_CHECK_MSG(params_.max_depth <= kMaxDepth,

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "obs/obs.hpp"
-
 namespace repro::ml {
 
 LogisticRegression::LogisticRegression(const Params& params, std::uint64_t seed)
@@ -17,7 +15,6 @@ inline float sigmoid(float z) noexcept {
 }  // namespace
 
 void LogisticRegression::fit(const Dataset& train) {
-  OBS_SPAN("lr.fit");
   train.validate();
   REPRO_CHECK_MSG(train.size() > 0, "empty training set");
   const std::size_t d = train.features();

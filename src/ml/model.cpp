@@ -63,12 +63,6 @@ void StandardScaler::transform_inplace(Matrix& X) const {
   for (std::size_t r = 0; r < X.rows(); ++r) transform_row(X.row(r));
 }
 
-Matrix StandardScaler::transform(const Matrix& X) const {
-  Matrix out = X;
-  transform_inplace(out);
-  return out;
-}
-
 std::string_view to_string(const ModelSpec& spec) noexcept {
   return std::visit([](const auto& params) { return params.kName; }, spec);
 }

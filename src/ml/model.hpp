@@ -55,11 +55,7 @@ class StandardScaler {
   [[nodiscard]] bool fitted() const noexcept { return !mean_.empty(); }
 
   void transform_inplace(Matrix& X) const;
-  [[nodiscard]] Matrix transform(const Matrix& X) const;
   void transform_row(std::span<float> row) const;
-
-  [[nodiscard]] std::span<const float> means() const noexcept { return mean_; }
-  [[nodiscard]] std::span<const float> stds() const noexcept { return std_; }
 
  private:
   std::vector<float> mean_;

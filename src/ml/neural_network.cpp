@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/parallel.hpp"
-#include "obs/obs.hpp"
 
 namespace repro::ml {
 
@@ -40,7 +39,6 @@ void NeuralNetwork::forward(std::span<const float> x,
 }
 
 void NeuralNetwork::fit(const Dataset& train) {
-  OBS_SPAN("nn.fit");
   train.validate();
   REPRO_CHECK_MSG(train.size() > 0, "empty training set");
   const std::size_t d = train.features();

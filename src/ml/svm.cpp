@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "obs/obs.hpp"
 
 namespace repro::ml {
 
@@ -26,7 +25,6 @@ inline double rbf(std::span<const float> a, std::span<const float> b,
 }  // namespace
 
 void Svm::fit(const Dataset& train) {
-  OBS_SPAN("svm.fit");
   train.validate();
   REPRO_CHECK_MSG(train.size() > 0, "empty training set");
   input_dims_ = train.features();
@@ -36,12 +34,12 @@ void Svm::fit(const Dataset& train) {
   // Stratified subsample to the dual-problem cap.
   std::vector<std::size_t> rows(train.size());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
-  if (train.size() > params_.max_smo_samples) {
+  if (train.size() > kMaxSmoSamples) {
     std::vector<std::size_t> pos, neg;
     for (std::size_t i = 0; i < train.size(); ++i) {
       (train.y[i] ? pos : neg).push_back(i);
     }
-    const double keep = static_cast<double>(params_.max_smo_samples) /
+    const double keep = static_cast<double>(kMaxSmoSamples) /
                         static_cast<double>(train.size());
     auto cut = [&](std::vector<std::size_t>& v) {
       rng_.shuffle(v);
@@ -68,16 +66,16 @@ void Svm::fit(const Dataset& train) {
   std::vector<double> alpha(n, 0.0);
   std::vector<double> f(n, 0.0);
   double b = 0.0;
-  const double tol = params_.smo_tol;
+  const double tol = kSmoTol;
   auto c_of = [&](std::size_t i) {
     return y[i] > 0 ? params_.c * params_.pos_weight : params_.c;
   };
 
   std::size_t iters = 0;
   std::size_t passes = 0;
-  while (passes < params_.smo_max_passes && iters < params_.smo_max_iters) {
+  while (passes < kSmoMaxPasses && iters < kSmoMaxIters) {
     std::size_t changed = 0;
-    for (std::size_t i = 0; i < n && iters < params_.smo_max_iters; ++i) {
+    for (std::size_t i = 0; i < n && iters < kSmoMaxIters; ++i) {
       const double Ei = f[i] + b - y[i];
       const double Ci = c_of(i);
       if (!((y[i] * Ei < -tol && alpha[i] < Ci) ||
@@ -174,7 +172,7 @@ void Svm::fit_platt(std::span<const float> margins,
   double a = 1.0, b = 0.0;
   const double lr = 0.1;
   const auto n = static_cast<double>(margins.size());
-  for (std::uint64_t it = 0; it < params_.platt_iters; ++it) {
+  for (std::uint64_t it = 0; it < kPlattIters; ++it) {
     // Ordered reduction: per-chunk partial gradients combined in chunk
     // order, so the float sums are identical for any thread count.
     const auto [ga, gb] = parallel_reduce(

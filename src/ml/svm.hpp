@@ -6,7 +6,7 @@
 // off-the-shelf libraries (libsvm/sklearn) do and, like them,
 // quadratic-ish in training size — this is the honest source of SVM's place
 // at the bottom of the training-time table. The training set is
-// (stratified-)subsampled to max_smo_samples.
+// (stratified-)subsampled to kMaxSmoSamples.
 //
 // Probabilities come from Platt scaling (a 1-D logistic fit on margins).
 #pragma once
@@ -31,14 +31,14 @@ class Svm final : public Model {
     double c = 1.0;              ///< SVM regularization tradeoff
     double pos_weight = 1.0;
 
-    std::size_t max_smo_samples = 5000;  ///< dual problem size cap
-    double smo_tol = 1e-3;               ///< KKT violation tolerance
-    std::size_t smo_max_passes = 3;      ///< sweeps without progress to stop
-    std::size_t smo_max_iters = 150'000; ///< hard iteration cap
-    std::uint64_t platt_iters = 200;
-
     auto operator<=>(const Params&) const = default;
   };
+
+  static constexpr std::size_t kMaxSmoSamples = 5000;  ///< dual problem cap
+  static constexpr double kSmoTol = 1e-3;  ///< KKT violation tolerance
+  static constexpr std::size_t kSmoMaxPasses = 3;  ///< idle sweeps to stop
+  static constexpr std::size_t kSmoMaxIters = 150'000;  ///< iteration cap
+  static constexpr std::uint64_t kPlattIters = 200;
 
   explicit Svm(const Params& params, std::uint64_t seed = 1234);
 

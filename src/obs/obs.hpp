@@ -217,7 +217,7 @@ void reset();
 #define REPRO_OBS_CONCAT_IMPL(a, b) a##b
 #define REPRO_OBS_CONCAT(a, b) REPRO_OBS_CONCAT_IMPL(a, b)
 
-/// Opens a Span for the rest of the enclosing scope: OBS_SPAN("gbdt.fit");
+/// Opens a Span for the rest of the enclosing scope: OBS_SPAN("gbdt.hist");
 #define OBS_SPAN(name_literal)                                             \
   static ::repro::obs::Timer& REPRO_OBS_CONCAT(repro_obs_timer_,           \
                                                __LINE__) =                 \

@@ -1,7 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <unordered_set>
-
 namespace repro::sim {
 
 double Trace::positive_rate() const noexcept {
@@ -9,13 +7,6 @@ double Trace::positive_rate() const noexcept {
   std::size_t pos = 0;
   for (const auto& s : samples) pos += s.sbe_affected() ? 1 : 0;
   return static_cast<double>(pos) / static_cast<double>(samples.size());
-}
-
-std::size_t Trace::run_count() const noexcept {
-  std::unordered_set<workload::RunId> runs;
-  runs.reserve(samples.size() / 4 + 1);
-  for (const auto& s : samples) runs.insert(s.run);
-  return runs.size();
 }
 
 }  // namespace repro::sim

@@ -35,6 +35,9 @@ struct RunNodeSample {
   workload::AppId app = -1;
   workload::AppId prev_app = -1;   ///< app that ran before on this node (-1 none)
   topo::NodeId node = -1;
+  /// Explicit zeros where the compiler would pad: save_trace writes
+  /// samples raw, so every byte of the record must be determinate.
+  std::uint32_t reserved0 = 0;
   Minute start = 0;
   Minute end = 0;
 
@@ -59,6 +62,7 @@ struct RunNodeSample {
   std::array<float, kRecentMinutes> recent_gpu_temp{};
   std::array<float, kRecentMinutes> recent_gpu_power{};
   std::uint8_t recent_len = 0;
+  std::array<std::uint8_t, 3> reserved1{};
 
   // Spatial T/P features: same-node CPU and slot-neighbor means during the run.
   telemetry::FourStats run_cpu_temp;
@@ -137,8 +141,6 @@ struct Trace {
   }
   /// Fraction of samples with at least one SBE (the class imbalance).
   [[nodiscard]] double positive_rate() const noexcept;
-  /// Number of distinct runs covered by samples.
-  [[nodiscard]] std::size_t run_count() const noexcept;
 };
 
 }  // namespace repro::sim

@@ -289,6 +289,10 @@ std::uint64_t read_raw_u64(std::istream& in) {
 // trivially copyable, so we can write it raw and guard with the version.
 static_assert(std::is_trivially_copyable_v<RunNodeSample>);
 static_assert(std::is_trivially_copyable_v<faults::SbeEvent>);
+// Written raw, so no record may hold a padding byte, and the TRACEv07
+// layout stays put.
+static_assert(std::has_unique_object_representations_v<faults::SbeEvent>);
+static_assert(sizeof(faults::SbeEvent) == 40 && sizeof(RunNodeSample) == 408);
 
 }  // namespace
 
@@ -580,10 +584,13 @@ std::string cache_path(const SimConfig& config, const std::string& cache_dir) {
   return cache_dir + "/" + name;
 }
 
-Trace cached_simulate(const SimConfig& config, const std::string& cache_dir) {
+Trace cached_simulate(const SimConfig& config, const std::string& cache_dir,
+                      bool* hit) {
   std::filesystem::create_directories(cache_dir);
   const std::string path = cache_path(config, cache_dir);
-  if (auto loaded = load_trace(config, path)) {
+  std::optional<Trace> loaded = load_trace(config, path);
+  if (hit != nullptr) *hit = loaded.has_value();
+  if (loaded) {
     OBS_COUNT("sim.trace_cache_hits");
     return std::move(*loaded);
   }

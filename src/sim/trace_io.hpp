@@ -61,6 +61,9 @@ std::optional<Trace> load_trace(const SimConfig& config,
 std::string cache_path(const SimConfig& config, const std::string& cache_dir);
 
 /// load_trace or simulate-and-save. `cache_dir` must exist or be creatable.
-Trace cached_simulate(const SimConfig& config, const std::string& cache_dir);
+/// `hit`, when non-null, receives whether a valid cache entry served the
+/// trace (a stale or corrupt entry at the path is a miss).
+Trace cached_simulate(const SimConfig& config, const std::string& cache_dir,
+                      bool* hit = nullptr);
 
 }  // namespace repro::sim

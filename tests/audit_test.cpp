@@ -324,13 +324,22 @@ TEST_F(AuditTest, AuditOnIsBitIdenticalToAuditOff) {
     EXPECT_EQ(off[p].metrics.positive.f1, on[p].metrics.positive.f1);
     EXPECT_EQ(off[p].metrics.accuracy, on[p].metrics.accuracy);
     EXPECT_EQ(off[p].offender_nodes, on[p].offender_nodes);
-    // The audit-on run additionally filled the per-period reports.
-    EXPECT_FALSE(off[p].quality.valid);
+    // Both runs filled the per-period reports, with the same numbers.
     EXPECT_TRUE(on[p].quality.valid);
     EXPECT_TRUE(on[p].drift.valid);
     EXPECT_GE(on[p].quality.auc, 0.0);
     EXPECT_LE(on[p].quality.auc, 1.0);
-    EXPECT_FALSE(on[p].drift.psi_argmax_name.empty());
+    EXPECT_EQ(off[p].quality.valid, on[p].quality.valid);
+    EXPECT_EQ(off[p].quality.auc, on[p].quality.auc);
+    EXPECT_EQ(off[p].quality.brier, on[p].quality.brier);
+    EXPECT_EQ(off[p].quality.ece, on[p].quality.ece);
+    EXPECT_EQ(off[p].quality.positive_rate, on[p].quality.positive_rate);
+    EXPECT_EQ(off[p].drift.valid, on[p].drift.valid);
+    EXPECT_EQ(off[p].drift.psi_max, on[p].drift.psi_max);
+    EXPECT_EQ(off[p].drift.psi_argmax, on[p].drift.psi_argmax);
+    EXPECT_EQ(off[p].drift.ks_max, on[p].drift.ks_max);
+    EXPECT_EQ(off[p].drift.ks_argmax, on[p].drift.ks_argmax);
+    EXPECT_EQ(off[p].drift.psi_drifted, on[p].drift.psi_drifted);
   }
 }
 

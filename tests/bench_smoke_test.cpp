@@ -49,7 +49,6 @@ TEST(BenchSmoke, GbdtTrainsDownsizedTable3Split) {
 
 TEST(BenchTable3, AuditKeysCarryTheRunsNumbers) {
   // Table III writes these keys for the DS1 GBDT run (DESIGN.md §8).
-  obs::set_enabled(true);
   const sim::Trace& trace = repro::testing::shared_pipeline_trace();
   const auto splits = SplitSpec::sliding(40, 24, 8, 8, 1);
   const TwoStageRun run = run_two_stage(
@@ -73,7 +72,7 @@ TEST(BenchTable3, AuditKeysCarryTheRunsNumbers) {
 
   // What a run could not compute is left out: a degraded run has no
   // stage-1 rates, an empty test window no survivor rate, and a run
-  // without its reports (obs off) no quality or drift numbers.
+  // without its reports no quality or drift numbers.
   TwoStageRun partial = run;
   partial.quality.valid = false;
   partial.drift.valid = false;
@@ -102,6 +101,8 @@ TEST(BenchContext, CellRequestedByTwoExperimentsIsFittedOnce) {
   config.faults.base_rate_per_min = 2.0e-3;
   bench::Context ctx(config, SplitSpec::sliding(30, 15, 7, 4, 2),
                      fresh_dir("bench_context_grid"));
+  // The fits are counted by the `two_stage.train` span.
+  obs::set_enabled(true);
   const obs::Timer& fits = obs::timer("two_stage.train");
   const std::uint64_t before = fits.calls();
   const TwoStageRun& fig13 = ctx.run(0);
@@ -124,8 +125,18 @@ TEST(BenchContext, CellRequestedByTwoExperimentsIsFittedOnce) {
   EXPECT_NE(&shape, &fig13);
   EXPECT_EQ(&ctx.run(0, {.model = few_trees}), &shape);
   EXPECT_EQ(fits.calls(), before + 4);
-  // The context turns obs metrics on, so every cell carries its quality.
   EXPECT_TRUE(fig13.quality.valid);
+}
+
+TEST(BenchContext, CacheHitIsReportedWithObsOff) {
+  const sim::SimConfig config = sim::SimConfig::testing(2, 94);
+  const std::string dir = fresh_dir("bench_context_warm");
+  sim::save_trace(sim::simulate(config), config,
+                  sim::cache_path(config, dir));
+  bench::Context ctx(config, {}, dir);
+  obs::set_enabled(false);
+  (void)ctx.trace();
+  EXPECT_TRUE(ctx.trace_cache_hit());
 }
 
 TEST(BenchContext, StaleCacheEntryIsNotReportedAsAHit) {

@@ -83,7 +83,7 @@ TEST(FeatureExtractor, AppOneHotIsExactlyOne) {
   for (const std::size_t i : {0UL, 17UL, 101UL}) {
     fx.extract(trace.samples[i], out);
     float app_sum = 0.0f;
-    for (std::size_t b = 0; b < spec.app_hash_buckets; ++b) app_sum += out[b];
+    for (std::size_t b = 0; b < kAppHashBuckets; ++b) app_sum += out[b];
     EXPECT_FLOAT_EQ(app_sum, 1.0f);
   }
 }

@@ -205,7 +205,8 @@ TEST(StandardScaler, NormalizesColumns) {
   }
   StandardScaler scaler;
   scaler.fit(X);
-  Matrix t = scaler.transform(X);
+  Matrix t = X;
+  scaler.transform_inplace(t);
   double sum = 0.0, sum2 = 0.0;
   for (std::size_t i = 0; i < 100; ++i) {
     sum += t.at(i, 0);

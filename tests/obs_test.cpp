@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -254,25 +255,63 @@ TEST_F(ObsTest, TracingLeavesTwoStageResultsBitIdentical) {
   const Interval train{0, day_start(20)};
   const Interval test{day_start(20), day_start(30)};
 
-  const auto run = [&] {
-    return core::run_two_stage(trace, {}, train, test).metrics;
-  };
+  const auto run = [&] { return core::run_two_stage(trace, {}, train, test); };
   obs::set_enabled(false);
   obs::set_capturing(false);
-  const ml::ClassMetrics off = run();
+  const core::TwoStageRun off = run();
   obs::set_enabled(true);
   obs::set_capturing(true);
-  const ml::ClassMetrics on = run();
+  const core::TwoStageRun on = run();
 
-  EXPECT_EQ(off.confusion.tp, on.confusion.tp);
-  EXPECT_EQ(off.confusion.fp, on.confusion.fp);
-  EXPECT_EQ(off.confusion.tn, on.confusion.tn);
-  EXPECT_EQ(off.confusion.fn, on.confusion.fn);
-  EXPECT_EQ(off.positive.f1, on.positive.f1);
-  EXPECT_EQ(off.positive.precision, on.positive.precision);
-  EXPECT_EQ(off.positive.recall, on.positive.recall);
-  EXPECT_EQ(off.accuracy, on.accuracy);
+  EXPECT_EQ(off.metrics.confusion.tp, on.metrics.confusion.tp);
+  EXPECT_EQ(off.metrics.confusion.fp, on.metrics.confusion.fp);
+  EXPECT_EQ(off.metrics.confusion.tn, on.metrics.confusion.tn);
+  EXPECT_EQ(off.metrics.confusion.fn, on.metrics.confusion.fn);
+  EXPECT_EQ(off.metrics.positive.f1, on.metrics.positive.f1);
+  EXPECT_EQ(off.metrics.positive.precision, on.metrics.positive.precision);
+  EXPECT_EQ(off.metrics.positive.recall, on.metrics.positive.recall);
+  EXPECT_EQ(off.metrics.accuracy, on.metrics.accuracy);
+  // The audit numbers are part of the run, not of the obs switch.
+  ASSERT_TRUE(off.quality.valid);
+  ASSERT_TRUE(on.quality.valid);
+  ASSERT_TRUE(off.drift.valid);
+  ASSERT_TRUE(on.drift.valid);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(off.quality.auc), bits(on.quality.auc));
+  EXPECT_EQ(bits(off.quality.brier), bits(on.quality.brier));
+  EXPECT_EQ(bits(off.quality.ece), bits(on.quality.ece));
+  EXPECT_EQ(bits(off.quality.positive_rate), bits(on.quality.positive_rate));
+  EXPECT_EQ(bits(off.drift.psi_max), bits(on.drift.psi_max));
+  EXPECT_EQ(off.drift.psi_argmax, on.drift.psi_argmax);
+  EXPECT_EQ(bits(off.drift.ks_max), bits(on.drift.ks_max));
+  EXPECT_EQ(off.drift.ks_argmax, on.drift.ks_argmax);
+  EXPECT_EQ(off.drift.psi_drifted, on.drift.psi_drifted);
   EXPECT_GT(obs::captured_events().size(), 0u);
+}
+
+TEST_F(ObsTest, ModelFitsRecordNoFitTimer) {
+  // A fit is timed once, by TwoStagePredictor (Table III's
+  // `<model>.fit_seconds` key), not again by an obs span.
+  obs::set_enabled(true);
+  ml::Dataset d;
+  d.X = ml::Matrix(200, 2);
+  for (std::size_t i = 0; i < 200; ++i) {
+    const float x = static_cast<float>(i % 20) - 10.0f;
+    d.X.at(i, 0) = x;
+    d.X.at(i, 1) = static_cast<float>(i % 7);
+    d.y.push_back(x > 0.0f ? 1 : 0);
+  }
+  for (const ml::ModelSpec& spec :
+       {ml::ModelKind::kLogisticRegression, ml::ModelKind::kGbdt,
+        ml::ModelKind::kSvm, ml::ModelKind::kNeuralNetwork}) {
+    ml::make_model(spec)->fit(d);
+  }
+  const std::vector<obs::Metric> snap = obs::snapshot();
+  ASSERT_FALSE(snap.empty());  // the GBDT sub-phase spans still record
+  for (const obs::Metric& m : snap) {
+    EXPECT_FALSE(m.key.ends_with(".fit_seconds")) << m.key;
+    EXPECT_FALSE(m.key.ends_with(".fit_calls")) << m.key;
+  }
 }
 
 TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson) {
