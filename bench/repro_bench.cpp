@@ -912,7 +912,7 @@ int main(int argc, char** argv) {
     for (const auto& [key, value] : keys) json.set(key, value);
     // A degraded train call fits no model.
     fits += obs::timer("two_stage.train").calls() -
-            obs::counter("two_stage.degraded_no_offenders").value();
+            obs::counter("two_stage.degraded").value();
     json.write();
     ++ran;
   }

@@ -33,30 +33,31 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
     OBS_COUNT_ADD("two_stage.train_samples_seen", window_idx.size());
     OBS_COUNT_ADD("two_stage.train_stage1_survivors", train_idx.size());
   }
+  ml::Dataset train_set = extractor_->build(train_idx);
+  if (config_.undersample_ratio > 0.0) {
+    Rng rng(config_.seed ^ 0xBA1A4CEULL);
+    train_set =
+        ml::undersample_majority(train_set, config_.undersample_ratio, rng);
+  }
   // An empty stage-2 training set is a data condition, not a programming
   // error: a corrupted or heavily-quarantined trace can leave the window
-  // without a single offender-node sample. Degrade to stage 1 alone
+  // without a single offender-node sample, and undersampling a window
+  // without positives keeps no negatives either. Degrade to stage 1 alone
   // (predict everything SBE-free) instead of crashing the pipeline.
-  degraded_ = train_idx.empty();
+  degraded_ = train_set.size() == 0;
   if (degraded_) {
     std::fprintf(stderr,
-                 "[two_stage] no offender-node samples in training window "
+                 "[two_stage] empty stage-2 training set in window "
                  "[%lld, %lld): degrading to all-negative predictions\n",
                  static_cast<long long>(train_window.begin),
                  static_cast<long long>(train_window.end));
-    OBS_COUNT("two_stage.degraded_no_offenders");
+    OBS_COUNT("two_stage.degraded");
     model_.reset();
     stage2_size_ = 0;
     fit_seconds_ = 0.0;
     train_survivor_rate_ = 0.0;
     train_positive_rate_ = 0.0;
     return;
-  }
-  ml::Dataset train_set = extractor_->build(train_idx);
-  if (config_.undersample_ratio > 0.0) {
-    Rng rng(config_.seed ^ 0xBA1A4CEULL);
-    train_set =
-        ml::undersample_majority(train_set, config_.undersample_ratio, rng);
   }
   stage2_size_ = train_set.size();
 
@@ -83,24 +84,6 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
   fit_seconds_ = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - fit_start)
                      .count();
-
-  // Provenance header for the prediction audit log: one manifest line per
-  // trained model, so the records that follow are attributable.
-  if (audit::Sink* s = audit::sink()) {
-    audit::Manifest m;
-    m.model = std::string(ml::to_string(config_.model));
-    m.seed = config_.seed;
-    m.threshold = config_.threshold;
-    m.feature_dim = extractor_->dim();
-    m.feature_mask = config_.features.mask;
-    m.forecast_current_run = config_.features.forecast_current_run;
-    m.undersample_ratio = config_.undersample_ratio;
-    m.threads = parallel_threads();
-    m.train_begin = train_window.begin;
-    m.train_end = train_window.end;
-    m.stage2_training_size = stage2_size_;
-    s->write_line(audit::to_json_line(m));
-  }
 }
 
 std::vector<float> TwoStagePredictor::predict_proba(
@@ -159,46 +142,6 @@ std::vector<ml::Label> TwoStagePredictor::predict(
   std::vector<ml::Label> out(proba.size());
   for (std::size_t i = 0; i < proba.size(); ++i) {
     out[i] = proba[i] >= config_.threshold ? 1 : 0;
-  }
-  if (audit::Sink* s = audit::sink()) {
-    OBS_SPAN("audit.log");
-    OBS_COUNT_ADD("audit.records_written", idx.size());
-    // Record lines build in parallel into an index-addressed buffer
-    // (disjoint writes), then flush as one in-order batch — byte-identical
-    // output for any REPRO_THREADS.
-    std::vector<std::string> lines(idx.size());
-    const std::size_t dim = extractor_->dim();
-    const auto& names = extractor_->names();
-    parallel_for(idx.size(), 256, [&](std::size_t begin, std::size_t end) {
-      std::vector<float> row(dim);
-      std::vector<double> contrib(dim);
-      for (std::size_t k = begin; k < end; ++k) {
-        const sim::RunNodeSample& smp = trace.samples[idx[k]];
-        audit::PredictionRecord rec;
-        rec.sample = idx[k];
-        rec.run = smp.run;
-        rec.app = smp.app;
-        rec.node = smp.node;
-        rec.score = proba[k];
-        rec.threshold = config_.threshold;
-        rec.decision = out[k] != 0;
-        rec.truth = smp.sbe_affected();
-        rec.stage1_accepted =
-            offender_mask_[static_cast<std::size_t>(smp.node)] != 0;
-        if (rec.stage1_accepted && model_ != nullptr) {
-          extractor_->extract(smp, row);
-          scaler_.transform_row(row);
-          if (model_->explain(row, contrib, &rec.bias)) {
-            rec.has_contrib = true;
-            for (const auto& [f, v] : audit::top_k_contributions(contrib)) {
-              rec.contrib.emplace_back(names[f], v);
-            }
-          }
-        }
-        lines[k] = audit::to_json_line(rec);
-      }
-    });
-    s->write_lines(lines);
   }
   if (proba_out != nullptr) *proba_out = std::move(proba);
   return out;

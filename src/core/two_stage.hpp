@@ -60,12 +60,9 @@ class TwoStagePredictor {
   [[nodiscard]] std::vector<float> predict_proba(
       const sim::Trace& trace, std::span<const std::size_t> idx,
       audit::DriftSummary* drift = nullptr) const;
-  /// Thresholded predictions. With an active audit sink (REPRO_AUDIT),
-  /// additionally writes one JSONL record per sample — score, decision,
-  /// truth, top-k feature contributions — flushed in index order.
-  /// `proba_out`, when non-null, receives the underlying probabilities so
-  /// callers needing both never score twice; `drift_out` is as in
-  /// predict_proba.
+  /// Thresholded predictions. `proba_out`, when non-null, receives the
+  /// underlying probabilities so callers needing both never score twice;
+  /// `drift_out` is as in predict_proba.
   [[nodiscard]] std::vector<ml::Label> predict(
       const sim::Trace& trace, std::span<const std::size_t> idx,
       std::vector<float>* proba_out = nullptr,
@@ -74,9 +71,11 @@ class TwoStagePredictor {
   [[nodiscard]] bool trained() const noexcept {
     return model_ != nullptr || degraded_;
   }
-  /// True when the last train() found no offender-node samples in its
-  /// window and fell back to all-negative predictions (stage 1 alone).
-  /// A corrupted or heavily-quarantined trace must degrade, not crash.
+  /// True when the last train() was left with an empty stage-2 training
+  /// set (no offender-node samples in its window, or none kept by
+  /// undersampling) and fell back to all-negative predictions (stage 1
+  /// alone). A corrupted or heavily-quarantined trace must degrade, not
+  /// crash.
   [[nodiscard]] bool degraded() const noexcept { return degraded_; }
   [[nodiscard]] const std::vector<char>& offender_mask() const noexcept {
     return offender_mask_;
@@ -94,13 +93,6 @@ class TwoStagePredictor {
   }
   [[nodiscard]] double train_positive_rate() const noexcept {
     return train_positive_rate_;
-  }
-  [[nodiscard]] const TwoStageConfig& config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] const ml::Model& model() const {
-    REPRO_CHECK_MSG(model_ != nullptr, "model not trained");
-    return *model_;
   }
 
  private:

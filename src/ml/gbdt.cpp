@@ -279,8 +279,10 @@ bool subtract_hist(std::vector<double>& hist, const std::vector<double>& other) 
 // so concurrent builds write disjoint node ranges of it.
 class GradientBoostedTrees::FitBuffers {
  public:
-  FitBuffers(std::size_t width, std::size_t rows)
-      : ordered(rows), width_(width) {}
+  FitBuffers(std::size_t width, std::size_t rows, std::size_t max_depth)
+      : ordered(rows),
+        slot_values((std::size_t{2} << max_depth) - 1),
+        width_(width) {}
 
   std::vector<double> acquire() {
     if (free_.empty()) return std::vector<double>(width_);
@@ -295,6 +297,9 @@ class GradientBoostedTrees::FitBuffers {
   }
 
   std::vector<GradPair> ordered;
+  /// Every slot's value of the tree being built, a perfect tree of
+  /// max_depth; only its last level is kept.
+  std::vector<float> slot_values;
 
  private:
   std::size_t width_;
@@ -307,17 +312,14 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     FitBuffers& pool, std::vector<LeafRange>& leaves) {
   // The tree grows in a block sized for max_depth, all pads to begin with;
   // slot numbering does not depend on the depth, so once the tree's real
-  // depth d is known the block is cut to its depth-d prefix.
+  // depth d is known the splits are cut to their depth-d prefix. Leaves
+  // write their values into the scratch slot block, and only its level d
+  // is kept.
   TreeRef tree;
   tree.splits = static_cast<std::uint32_t>(splits_.size());
-  tree.values = static_cast<std::uint32_t>(values_.size());
   const std::size_t full_internal = (std::size_t{1} << params_.max_depth) - 1;
   splits_.resize(tree.splits + full_internal);
-  gains_.resize(tree.splits + full_internal, 0.0);
-  values_.resize(tree.values + 2 * full_internal + 1, 0.0f);
-  const auto set_value = [&](std::uint32_t slot, float value) {
-    values_[tree.values + slot] = value;
-  };
+  std::vector<float>& slot_values = pool.slot_values;
   leaves.clear();
 
   // One frontier entry per tree node still growing. Children of one split
@@ -335,7 +337,6 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     double parent_G = 0.0, parent_H = 0.0;
     std::int32_t best_f = -1;
     std::uint8_t best_code = 0;
-    double best_gain = 0.0;
   };
 
   const double lambda = params_.lambda;
@@ -427,7 +428,6 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
         bn.best_code = static_cast<std::uint8_t>(best_c);
       }
     }
-    bn.best_gain = best;
   };
 
   std::vector<BuildNode> level(1);
@@ -448,7 +448,7 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
       });
       for (BuildNode& bn : level) {
         const float value = leaf_value(bn.G, bn.H);
-        set_value(bn.slot, value);
+        slot_values[bn.slot] = value;
         leaves.push_back({bn.begin, bn.end, value});
         pool.release(bn.parent_hist);
       }
@@ -526,19 +526,16 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
     for (std::size_t i = 0; i < level.size(); ++i) {
       BuildNode& bn = level[i];
       for (auto& buf : bn.scratch) pool.release(buf);
-      const float value = leaf_value(bn.G, bn.H);
-      set_value(bn.slot, value);
       if (bn.best_f < 0) {
+        const float value = leaf_value(bn.G, bn.H);
+        slot_values[bn.slot] = value;
         leaves.push_back({bn.begin, bn.end, value});
         pool.release(bn.hist);
         continue;
       }
-      // Split slots keep their own Newton value too: explain()'s path
-      // attribution charges value deltas along the root -> leaf walk.
       splits_[tree.splits + bn.slot] = {
           bn.best_f,
           binner_.upper_edge(static_cast<std::size_t>(bn.best_f), bn.best_code)};
-      gains_[tree.splits + bn.slot] = bn.best_gain;
       tree.depth = static_cast<std::uint32_t>(depth) + 1;
       BuildNode child_left, child_right;
       child_left.slot = 2 * bn.slot + 1;
@@ -583,17 +580,19 @@ GradientBoostedTrees::TreeRef GradientBoostedTrees::build_tree(
 
   // Pad: in slot order (parents first), a pad hands its value to both
   // children, so every path through a leaf above the last level ends on
-  // that leaf's value. Then cut the block to the depth-d prefix.
+  // that leaf's value. Then cut the splits to the depth-d prefix and keep
+  // the values of level d, slots [2^d - 1, 2^(d+1) - 1).
   const std::size_t internal = (std::size_t{1} << tree.depth) - 1;
   for (std::size_t i = 0; i < internal; ++i) {
     if (!splits_[tree.splits + i].pad()) continue;
-    const float value = values_[tree.values + i];
-    values_[tree.values + 2 * i + 1] = value;
-    values_[tree.values + 2 * i + 2] = value;
+    slot_values[2 * i + 1] = slot_values[i];
+    slot_values[2 * i + 2] = slot_values[i];
   }
   splits_.resize(tree.splits + internal);
-  gains_.resize(tree.splits + internal);
-  values_.resize(tree.values + 2 * internal + 1);
+  tree.values = static_cast<std::uint32_t>(values_.size());
+  values_.insert(values_.end(),
+                 slot_values.begin() + static_cast<std::ptrdiff_t>(internal),
+                 slot_values.begin() + static_cast<std::ptrdiff_t>(2 * internal + 1));
   return tree;
 }
 
@@ -608,7 +607,6 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   const std::size_t d = train.features();
   features_ = d;
   splits_.clear();
-  gains_.clear();
   values_.clear();
   trees_.clear();
 
@@ -634,7 +632,7 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   row_index.reserve(n);
   std::vector<std::uint8_t> in_sample(n, 0);
   std::vector<LeafRange> leaves;
-  FitBuffers pool(2 * binned.total_bins(), n);
+  FitBuffers pool(2 * binned.total_bins(), n, params_.max_depth);
 
   for (std::size_t t = 0; t < params_.trees; ++t) {
     // Per-row gradients/hessians: disjoint writes, no accumulation.
@@ -729,7 +727,8 @@ inline void GradientBoostedTrees::walk(const Split* splits,
         at[k] = child(splits[at[k]], at[k], rows[k]);
       }
     }
-    for (std::size_t k = 0; k < n; ++k) z[k] += values[at[k]];
+    // values holds the last level only, slots [2^D - 1, 2^(D+1) - 1).
+    for (std::size_t k = 0; k < n; ++k) z[k] += values[at[k] - ((1u << D) - 1)];
   }
 }
 
@@ -786,44 +785,6 @@ std::vector<float> GradientBoostedTrees::predict_proba_many(
     for (std::size_t r = begin; r < end; ++r) out[r] = sigmoidf(out[r]);
   });
   return out;
-}
-
-bool GradientBoostedTrees::explain(std::span<const float> x,
-                                   std::span<double> contributions,
-                                   double* bias) const {
-  REPRO_CHECK_MSG(x.size() == features_, "feature width mismatch");
-  REPRO_CHECK_MSG(contributions.size() == features_,
-                  "contribution width mismatch");
-  std::fill(contributions.begin(), contributions.end(), 0.0);
-  double b = base_score_;
-  for (const TreeRef& tree : trees_) {
-    const Split* splits = splits_.data() + tree.splits;
-    const float* values = values_.data() + tree.values;
-    b += values[0];
-    // A pad step moves between equal values and charges nothing.
-    std::uint32_t i = 0;
-    for (std::uint32_t d = 0; d < tree.depth; ++d) {
-      const Split& s = splits[i];
-      const std::uint32_t next = child(s, i, x.data());
-      if (!s.pad()) {
-        contributions[static_cast<std::size_t>(s.feature)] +=
-            static_cast<double>(values[next]) - static_cast<double>(values[i]);
-      }
-      i = next;
-    }
-  }
-  if (bias != nullptr) *bias = b;
-  return true;
-}
-
-std::vector<double> GradientBoostedTrees::feature_importance() const {
-  std::vector<double> imp(features_, 0.0);
-  for (std::size_t i = 0; i < splits_.size(); ++i) {
-    if (!splits_[i].pad()) {
-      imp[static_cast<std::size_t>(splits_[i].feature)] += gains_[i];
-    }
-  }
-  return imp;
 }
 
 std::vector<std::pair<std::int32_t, float>> GradientBoostedTrees::tree_splits(

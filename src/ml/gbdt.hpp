@@ -35,12 +35,13 @@
 //   - every fitted tree is stored as a padded perfect tree of its own
 //     depth d, indexed implicitly: internal slot i holds a split and its
 //     children are slots 2i+1 and 2i+2. A leaf shallower than d is padded:
-//     its slot and every slot beneath it route all rows right and carry
-//     the leaf's value, so any path through them ends on that value;
-//   - prediction, attribution and the fit's score update all run one walk
-//     step, i = 2i + 1 + !(x[f] <= t), exactly d times per tree;
-//     importance and introspection skip the pads (DESIGN.md §6b). fit()
-//     rejects a max_depth above kMaxDepth;
+//     its slot and every slot beneath it route all rows right, and every
+//     last-level slot beneath it carries the leaf's value. Only the last
+//     level's 2^d values are stored;
+//   - prediction and the fit's score update both run one walk step,
+//     i = 2i + 1 + !(x[f] <= t), exactly d times per tree; introspection
+//     skips the pads (DESIGN.md §6b). fit() rejects a max_depth above
+//     kMaxDepth;
 //   - prediction and the score update step up to 64 rows at a time
 //     through walk<d>, which starts every row at the root's child (a
 //     depth-0 tree just adds its one value); add_trees picks walk<d> per
@@ -133,7 +134,8 @@ class GradientBoostedTrees final : public Model {
   };
 
   /// Deepest max_depth fit() accepts: a padded tree of depth d stores
-  /// 2^(d+1) - 1 slots, so the layout's size doubles with every level.
+  /// 2^d - 1 splits and 2^d values, so the layout's size doubles with
+  /// every level.
   static constexpr std::size_t kMaxDepth = 12;
 
   explicit GradientBoostedTrees(const Params& params,
@@ -143,16 +145,6 @@ class GradientBoostedTrees final : public Model {
   [[nodiscard]] float predict_proba(std::span<const float> x) const override;
   [[nodiscard]] std::vector<float> predict_proba_many(
       const Matrix& X) const override;
-
-  /// Path-based (Saabas) attribution: every node carries its own Newton
-  /// value, and walking root -> leaf charges value(child) - value(parent)
-  /// to the split feature, so bias + sum(contributions) equals the exact
-  /// log-odds score predict_proba would sigmoid.
-  bool explain(std::span<const float> x, std::span<double> contributions,
-               double* bias) const override;
-
-  /// Total split gain per feature (valid after fit); larger = more used.
-  [[nodiscard]] std::vector<double> feature_importance() const;
 
   [[nodiscard]] std::size_t tree_count() const noexcept {
     return trees_.size();
@@ -175,9 +167,9 @@ class GradientBoostedTrees final : public Model {
   };
   static_assert(sizeof(Split) == 8);
   /// A tree of depth d: internal slots [0, 2^d - 1) at splits_[splits],
-  /// slot values [0, 2^(d+1) - 1) at values_[values]. A slot's value is a
-  /// leaf's output, a split's Newton value (explain() charges the deltas
-  /// along the path) or, on a pad, the value of the leaf above it.
+  /// and the values of the last level's slots [2^d - 1, 2^(d+1) - 1) at
+  /// values_[values]. A last-level slot's value is its leaf's output or,
+  /// beneath a pad, the value of the leaf above it.
   struct TreeRef {
     std::uint32_t splits = 0;
     std::uint32_t values = 0;
@@ -215,12 +207,11 @@ class GradientBoostedTrees final : public Model {
     float value = 0.0f;
   };
 
-  /// Histogram and ordered-gradient buffers reused across the trees of
-  /// one fit.
+  /// Histogram, ordered-gradient and slot-value buffers reused across the
+  /// trees of one fit.
   class FitBuffers;
 
-  /// Grows one tree onto the ends of splits_, gains_ and values_ and
-  /// returns it.
+  /// Grows one tree onto the ends of splits_ and values_ and returns it.
   TreeRef build_tree(const BinnedColumns& binned,
                      std::vector<std::size_t>& row_index,
                      const std::vector<float>& grad,
@@ -231,8 +222,7 @@ class GradientBoostedTrees final : public Model {
   Rng rng_;
   FeatureBinner binner_;
   std::vector<Split> splits_;  ///< every tree's internal slots, in order
-  std::vector<double> gains_;  ///< split gain per internal slot (0 on pads)
-  std::vector<float> values_;  ///< every tree's slot values, in order
+  std::vector<float> values_;  ///< every tree's last-level values, in order
   std::vector<TreeRef> trees_;
   float base_score_ = 0.0f;  ///< prior log-odds
   std::size_t features_ = 0;

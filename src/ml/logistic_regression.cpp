@@ -75,18 +75,4 @@ float LogisticRegression::predict_proba(std::span<const float> x) const {
   return sigmoid(z);
 }
 
-bool LogisticRegression::explain(std::span<const float> x,
-                                 std::span<double> contributions,
-                                 double* bias) const {
-  REPRO_CHECK_MSG(x.size() == weights_.size(), "feature width mismatch");
-  REPRO_CHECK_MSG(contributions.size() == weights_.size(),
-                  "contribution width mismatch");
-  for (std::size_t c = 0; c < x.size(); ++c) {
-    contributions[c] =
-        static_cast<double>(weights_[c]) * static_cast<double>(x[c]);
-  }
-  if (bias != nullptr) *bias = static_cast<double>(bias_);
-  return true;
-}
-
 }  // namespace repro::ml

@@ -32,16 +32,10 @@ class LogisticRegression final : public Model {
   void fit(const Dataset& train) override;
   [[nodiscard]] float predict_proba(std::span<const float> x) const override;
 
-  /// Linear attribution: contribution_f = weight_f * x_f, bias = intercept;
-  /// bias + sum(contributions) is the exact pre-sigmoid logit.
-  bool explain(std::span<const float> x, std::span<double> contributions,
-               double* bias) const override;
-
   /// Learned coefficients (valid after fit).
   [[nodiscard]] std::span<const float> weights() const noexcept {
     return weights_;
   }
-  [[nodiscard]] float bias() const noexcept { return bias_; }
 
  private:
   Params params_;

@@ -27,21 +27,6 @@ class Model {
   [[nodiscard]] virtual std::vector<float> predict_proba_many(
       const Matrix& X) const;
 
-  /// Additive per-feature decomposition of the raw decision score (the
-  /// pre-sigmoid log-odds) for one row: score = *bias + sum(contributions).
-  /// `contributions` must have training width; it is zero-filled first.
-  /// Returns false when the model family has no meaningful decomposition
-  /// (SVM, NN) — the audit layer then logs the score alone. Supported:
-  /// GBDT (path-based / Saabas attribution) and LR (weight * value terms).
-  virtual bool explain(std::span<const float> x,
-                       std::span<double> contributions,
-                       double* bias) const {
-    (void)x;
-    (void)contributions;
-    (void)bias;
-    return false;
-  }
-
   /// Thresholded predict_proba_many.
   [[nodiscard]] std::vector<Label> predict_batch(const Matrix& X,
                                                  float threshold = 0.5f) const;

@@ -1,16 +1,11 @@
 // Audit layer (src/audit + ml/metrics quality statistics): hand-computed
 // fixtures for Brier / ROC-AUC / reliability bins / PSI / KS, drift
-// detection, model explanations, and the REPRO_AUDIT JSONL sink — including
-// the two determinism guards (audit-on vs audit-off bit-identity, and
-// thread-count invariance of the prediction log).
+// detection, and the thread-count invariance of every run's audit numbers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <initializer_list>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,14 +14,10 @@
 #include "audit/drift.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/evaluation.hpp"
 #include "core/splits.hpp"
 #include "core/two_stage.hpp"
-#include "ml/gbdt.hpp"
-#include "ml/logistic_regression.hpp"
 #include "ml/metrics.hpp"
 #include "obs/obs.hpp"
-#include "json_parser.hpp"
 #include "support/test_trace.hpp"
 
 namespace repro {
@@ -41,22 +32,9 @@ class AuditTest : public ::testing::Test {
   static void reset() {
     obs::reset();
     obs::set_enabled(false);
-    audit::set_sink_path("");
     set_parallel_threads(1);
   }
 };
-
-std::vector<std::string> read_lines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
-
-bool is_manifest_line(const std::string& line) {
-  return line.find("\"type\":\"manifest\"") != std::string::npos;
-}
 
 // --- quality statistics vs hand computation ---------------------------------
 
@@ -215,192 +193,6 @@ TEST_F(AuditTest, DriftIsThreadCountInvariant) {
     EXPECT_EQ(runs[0].per_feature[f].psi, runs[1].per_feature[f].psi);
     EXPECT_EQ(runs[0].per_feature[f].ks, runs[1].per_feature[f].ks);
   }
-}
-
-// --- model explanations -----------------------------------------------------
-
-double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
-
-ml::Dataset rule_dataset(std::size_t rows, std::size_t cols,
-                         std::uint64_t seed) {
-  ml::Dataset d;
-  d.X = random_matrix(rows, cols, seed);
-  d.y.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    d.y.push_back(d.X.at(r, 0) + 0.5f * d.X.at(r, 1) > 0.0f ? 1 : 0);
-  }
-  return d;
-}
-
-TEST_F(AuditTest, GbdtExplainSumsToExactLogit) {
-  const ml::Dataset d = rule_dataset(2'000, 4, 17);
-  ml::GradientBoostedTrees::Params params;
-  params.trees = 40;
-  ml::GradientBoostedTrees gbdt(params, 5);
-  gbdt.fit(d);
-  std::vector<double> contrib(4);
-  for (std::size_t r = 0; r < 64; ++r) {
-    const auto x = d.X.row(r);
-    double bias = 0.0;
-    ASSERT_TRUE(gbdt.explain(x, contrib, &bias));
-    double score = bias;
-    for (const double c : contrib) score += c;
-    EXPECT_NEAR(sigmoid(score), static_cast<double>(gbdt.predict_proba(x)),
-                1e-4)
-        << "row " << r;
-  }
-}
-
-TEST_F(AuditTest, LrExplainSumsToExactLogit) {
-  const ml::Dataset d = rule_dataset(1'000, 3, 23);
-  ml::LogisticRegression lr({}, 5);
-  lr.fit(d);
-  std::vector<double> contrib(3);
-  for (std::size_t r = 0; r < 64; ++r) {
-    const auto x = d.X.row(r);
-    double bias = 0.0;
-    ASSERT_TRUE(lr.explain(x, contrib, &bias));
-    double score = bias;
-    for (std::size_t f = 0; f < 3; ++f) {
-      EXPECT_NEAR(contrib[f],
-                  static_cast<double>(lr.weights()[f]) *
-                      static_cast<double>(x[f]),
-                  1e-12);
-      score += contrib[f];
-    }
-    EXPECT_NEAR(sigmoid(score), static_cast<double>(lr.predict_proba(x)),
-                1e-5)
-        << "row " << r;
-  }
-}
-
-TEST_F(AuditTest, TopKContributionsDropZerosAndBreakTiesByIndex) {
-  const std::vector<double> contrib{0.0, 3.0, -5.0, 1.0, 2.0, 2.0};
-  const auto top = audit::top_k_contributions(contrib, 3);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].first, 2u);  // |-5| largest
-  EXPECT_EQ(top[1].first, 1u);
-  EXPECT_EQ(top[2].first, 4u);  // |2.0| tie: lower index wins
-  // Fewer nonzero entries than k: all of them, no zero padding.
-  const auto all = audit::top_k_contributions(contrib, 10);
-  EXPECT_EQ(all.size(), 5u);
-}
-
-// --- audit-off bit-identity and the JSONL sink ------------------------------
-
-/// The deployment loop of Sec. VI-A on the tiny trace: retrain on 15 days,
-/// score the next 7, slide by 7.
-std::vector<core::TwoStageRun> retrain_periods(const sim::Trace& trace) {
-  const std::int64_t days = trace.duration / kMinutesPerDay;
-  std::vector<core::TwoStageRun> out;
-  for (const core::SplitSpec& split :
-       core::SplitSpec::sliding(days, 15, 7, 7, (days - 15) / 7)) {
-    out.push_back(core::run_two_stage(trace, {}, split.train, split.test));
-  }
-  return out;
-}
-
-TEST_F(AuditTest, AuditOnIsBitIdenticalToAuditOff) {
-  const sim::Trace& trace = shared_tiny_trace();
-
-  obs::set_enabled(false);
-  audit::set_sink_path("");
-  const auto off = retrain_periods(trace);
-
-  obs::set_enabled(true);
-  const std::string sink_path = "audit_test_identity.jsonl";
-  audit::set_sink_path(sink_path);
-  const auto on = retrain_periods(trace);
-  audit::set_sink_path("");
-  std::remove(sink_path.c_str());
-
-  ASSERT_EQ(off.size(), on.size());
-  ASSERT_GE(off.size(), 2u);
-  for (std::size_t p = 0; p < off.size(); ++p) {
-    EXPECT_EQ(off[p].metrics.confusion.tp, on[p].metrics.confusion.tp);
-    EXPECT_EQ(off[p].metrics.confusion.fp, on[p].metrics.confusion.fp);
-    EXPECT_EQ(off[p].metrics.confusion.tn, on[p].metrics.confusion.tn);
-    EXPECT_EQ(off[p].metrics.confusion.fn, on[p].metrics.confusion.fn);
-    EXPECT_EQ(off[p].metrics.positive.f1, on[p].metrics.positive.f1);
-    EXPECT_EQ(off[p].metrics.accuracy, on[p].metrics.accuracy);
-    EXPECT_EQ(off[p].offender_nodes, on[p].offender_nodes);
-    // Both runs filled the per-period reports, with the same numbers.
-    EXPECT_TRUE(on[p].quality.valid);
-    EXPECT_TRUE(on[p].drift.valid);
-    EXPECT_GE(on[p].quality.auc, 0.0);
-    EXPECT_LE(on[p].quality.auc, 1.0);
-    EXPECT_EQ(off[p].quality.valid, on[p].quality.valid);
-    EXPECT_EQ(off[p].quality.auc, on[p].quality.auc);
-    EXPECT_EQ(off[p].quality.brier, on[p].quality.brier);
-    EXPECT_EQ(off[p].quality.ece, on[p].quality.ece);
-    EXPECT_EQ(off[p].quality.positive_rate, on[p].quality.positive_rate);
-    EXPECT_EQ(off[p].drift.valid, on[p].drift.valid);
-    EXPECT_EQ(off[p].drift.psi_max, on[p].drift.psi_max);
-    EXPECT_EQ(off[p].drift.psi_argmax, on[p].drift.psi_argmax);
-    EXPECT_EQ(off[p].drift.ks_max, on[p].drift.ks_max);
-    EXPECT_EQ(off[p].drift.ks_argmax, on[p].drift.ks_argmax);
-    EXPECT_EQ(off[p].drift.psi_drifted, on[p].drift.psi_drifted);
-  }
-}
-
-TEST_F(AuditTest, SinkWritesParseableJsonlWithExpectedCounts) {
-  const sim::Trace& trace = shared_tiny_trace();
-  const std::string sink_path = "audit_test_records.jsonl";
-  audit::set_sink_path(sink_path);
-  const auto periods = retrain_periods(trace);
-  audit::set_sink_path("");
-
-  const auto lines = read_lines(sink_path);
-  std::remove(sink_path.c_str());
-  std::size_t manifests = 0, predictions = 0, with_contrib = 0;
-  std::size_t stage1_rejected_with_contrib = 0;
-  for (const std::string& line : lines) {
-    JsonParser parser(line);
-    ASSERT_TRUE(parser.parse()) << line;
-    if (is_manifest_line(line)) {
-      ++manifests;
-      EXPECT_NE(line.find("\"model\":\"GBDT\""), std::string::npos);
-      EXPECT_NE(line.find("\"feature_dim\":"), std::string::npos);
-      EXPECT_NE(line.find("\"threads\":"), std::string::npos);
-    } else {
-      ++predictions;
-      EXPECT_NE(line.find("\"type\":\"prediction\""), std::string::npos);
-      EXPECT_NE(line.find("\"score\":"), std::string::npos);
-      EXPECT_NE(line.find("\"truth\":"), std::string::npos);
-      if (line.find("\"contrib\":") != std::string::npos) {
-        ++with_contrib;
-        if (line.find("\"stage1\":0") != std::string::npos) {
-          ++stage1_rejected_with_contrib;
-        }
-      }
-    }
-  }
-  std::size_t expected_records = 0;
-  for (const auto& p : periods) expected_records += p.idx.size();
-  EXPECT_EQ(manifests, periods.size());
-  EXPECT_EQ(predictions, expected_records);
-  EXPECT_GT(with_contrib, 0u);  // GBDT decomposes: accepted rows explain
-  EXPECT_EQ(stage1_rejected_with_contrib, 0u);  // rejects log score only
-}
-
-TEST_F(AuditTest, SinkPredictionLinesAreThreadCountInvariant) {
-  const sim::Trace& trace = shared_tiny_trace();
-  const auto run = [&](std::size_t threads, const std::string& path) {
-    set_parallel_threads(threads);
-    audit::set_sink_path(path);
-    (void)retrain_periods(trace);
-    audit::set_sink_path("");
-    auto lines = read_lines(path);
-    std::remove(path.c_str());
-    // Manifest lines carry the effective thread count by design; the
-    // prediction records must be byte-identical.
-    std::erase_if(lines, is_manifest_line);
-    return lines;
-  };
-  const auto at1 = run(1, "audit_test_t1.jsonl");
-  const auto at4 = run(4, "audit_test_t4.jsonl");
-  ASSERT_FALSE(at1.empty());
-  EXPECT_EQ(at1, at4);
 }
 
 TEST_F(AuditTest, SweepAuditAndSnapshotAreThreadCountInvariant) {

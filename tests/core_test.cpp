@@ -15,6 +15,7 @@ namespace repro::core {
 namespace {
 
 using repro::testing::shared_pipeline_trace;
+using repro::testing::shared_tiny_trace;
 
 // --- Splits -----------------------------------------------------------------
 
@@ -226,7 +227,26 @@ TEST_F(TwoStageTest, PredictBeforeTrainThrows) {
   TwoStagePredictor predictor({});
   const std::vector<std::size_t> idx = {0};
   EXPECT_THROW(predictor.predict(trace_, idx), CheckError);
-  EXPECT_THROW((void)predictor.model(), CheckError);
+}
+
+TEST_F(TwoStageTest, UndersampledWindowWithoutPositivesDegrades) {
+  // Two hours of the tiny trace hold offender-node samples but no positive
+  // one, so undersampling keeps round(1.0 x 0) negatives and leaves the
+  // stage-2 training set empty. That must degrade, not throw.
+  const sim::Trace& trace = shared_tiny_trace();
+  const Interval train{day_start(10), day_start(10) + 2 * kMinutesPerHour};
+  const Interval test{train.end, day_start(12)};
+  TwoStagePredictor plain({});
+  plain.train(trace, train);
+  ASSERT_FALSE(plain.degraded());  // stage 1 kept some samples
+
+  TwoStagePredictor undersampled({.undersample_ratio = 1.0});
+  ASSERT_NO_THROW(undersampled.train(trace, train));
+  EXPECT_TRUE(undersampled.degraded());
+  EXPECT_EQ(undersampled.stage2_training_size(), 0u);
+  const auto idx = samples_in(trace, test);
+  ASSERT_FALSE(idx.empty());
+  for (const ml::Label p : undersampled.predict(trace, idx)) EXPECT_EQ(p, 0);
 }
 
 TEST_F(TwoStageTest, PipelineIsBitwiseInvariantAcrossThreadCounts) {

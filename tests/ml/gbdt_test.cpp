@@ -62,7 +62,7 @@ TEST(FeatureBinner, ConstantFeatureGetsOneBin) {
 
 TEST(FeatureBinner, ConstantFeatureIsNeverSplitOn) {
   // Feature 0 is constant (1 bin, 0 edges): the tree has no edge to split
-  // on, so all gain must land on the informative feature 1.
+  // on, so every split must land on the informative feature 1.
   Dataset d;
   d.X = Matrix(2'000, 2);
   Rng rng(21);
@@ -76,9 +76,14 @@ TEST(FeatureBinner, ConstantFeatureIsNeverSplitOn) {
   params.pos_weight = 1.0;
   GradientBoostedTrees gbdt(params, 6);
   gbdt.fit(d);
-  const auto imp = gbdt.feature_importance();
-  EXPECT_DOUBLE_EQ(imp[0], 0.0);
-  EXPECT_GT(imp[1], 0.0);
+  std::size_t on_1 = 0;
+  for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
+    for (const auto& [feature, threshold] : gbdt.tree_splits(t)) {
+      EXPECT_NE(feature, 0) << "tree " << t;
+      on_1 += feature == 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(on_1, 0u);
 }
 
 TEST(FeatureBinner, AllDuplicateValuesCollapseToFewBins) {
@@ -444,7 +449,7 @@ TEST(Gbdt, PerfectFitOnThresholdRule) {
   EXPECT_GT(evaluate(d.y, pred).accuracy, 0.99);
 }
 
-TEST(Gbdt, ImportanceConcentratesOnInformativeFeature) {
+TEST(Gbdt, SplitsConcentrateOnInformativeFeature) {
   Dataset d;
   d.X = random_matrix(3'000, 4, 6);
   Rng rng(7);
@@ -458,10 +463,20 @@ TEST(Gbdt, ImportanceConcentratesOnInformativeFeature) {
   params.pos_weight = 1.0;
   GradientBoostedTrees gbdt(params, 8);
   gbdt.fit(d);
-  const auto imp = gbdt.feature_importance();
-  ASSERT_EQ(imp.size(), 4u);
-  const double other = imp[0] + imp[1] + imp[3];
-  EXPECT_GT(imp[2], 5.0 * other);
+  // Deep splits chase noise on every feature, so the signal shows in the
+  // roots, where the most gain is, and in the count per feature.
+  std::vector<std::size_t> splits(4, 0);
+  for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
+    const auto tree = gbdt.tree_splits(t);
+    ASSERT_FALSE(tree.empty()) << "tree " << t;
+    EXPECT_EQ(tree[0].first, 2) << "root of tree " << t;
+    for (const auto& [feature, threshold] : tree) {
+      ++splits[static_cast<std::size_t>(feature)];
+    }
+  }
+  for (const std::size_t f : {0, 1, 3}) {
+    EXPECT_GT(splits[2], splits[f]) << "feature " << f;
+  }
 }
 
 TEST(Gbdt, TreeCountMatchesParams) {
@@ -484,8 +499,9 @@ TEST(Gbdt, PureNodeProducesNoSplits) {
   gbdt.fit(d);
   const float p = gbdt.predict_proba(d.X.row(0));
   EXPECT_GT(p, 0.95f);
-  const auto imp = gbdt.feature_importance();
-  EXPECT_DOUBLE_EQ(imp[0] + imp[1] + imp[2], 0.0);
+  for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
+    EXPECT_TRUE(gbdt.tree_splits(t).empty()) << "tree " << t;
+  }
 }
 
 TEST(Gbdt, PosWeightShiftsOperatingPointTowardRecall) {
@@ -720,22 +736,6 @@ std::uint64_t probe_hash(const GradientBoostedTrees& gbdt, const Matrix& probe) 
   return fnv.h;
 }
 
-// Hash of explain()'s bias and every contribution, bitwise, on each probe
-// row, then of feature_importance().
-std::uint64_t explain_hash(const GradientBoostedTrees& gbdt,
-                           const Matrix& probe) {
-  Fnv fnv;
-  std::vector<double> contributions(probe.cols());
-  for (std::size_t r = 0; r < probe.rows(); ++r) {
-    double bias = 0.0;
-    EXPECT_TRUE(gbdt.explain(probe.row(r), contributions, &bias));
-    fnv.mix(bias);
-    for (const double c : contributions) fnv.mix(c);
-  }
-  for (const double gain : gbdt.feature_importance()) fnv.mix(gain);
-  return fnv.h;
-}
-
 // Linearly separable: every fourth feature (x0 included) takes six levels,
 // and y = 1 exactly where x0 - 0.5 x1 > 1.
 Dataset separable(std::size_t rows, std::size_t cols, std::uint64_t seed) {
@@ -827,17 +827,6 @@ TEST(Gbdt, GoldenPredictionHash) {
   };
   EXPECT_EQ(probe_of(tiny, tiny_params, 91), 0xe24c79d319fe599dull);
   EXPECT_EQ(probe_of(large, large_params, 92), 0xc6d77095f8b68ecbull);
-
-  // Attribution and importance, pinned against the flat-node engine that
-  // the padded trees replaced.
-  const auto explain_of = [](const Dataset& d,
-                             const GradientBoostedTrees::Params& params,
-                             std::uint64_t seed) {
-    const GradientBoostedTrees gbdt = fit_model(d, params);
-    return explain_hash(gbdt, walk_probe(gbdt, d.features(), seed));
-  };
-  EXPECT_EQ(explain_of(tiny, tiny_params, 94), 0x7d786dc1c852638cull);
-  EXPECT_EQ(explain_of(large, large_params, 95), 0x7f57d29377a4de6full);
   auto stump_params = large_params;
   stump_params.max_depth = 0;
   EXPECT_EQ(probe_of(large, stump_params, 93), 0x7b43d511bd5fe754ull);
@@ -861,7 +850,7 @@ TEST(Gbdt, FitRejectsMaxDepthAboveCap) {
   EXPECT_NO_THROW(at_cap.fit(d));
 }
 
-TEST(Gbdt, TreesAtTheDepthCapWalkAndExplainConsistently) {
+TEST(Gbdt, TreesAtTheDepthCapWalkConsistently) {
   // Separable data with no regularization grows trees to the cap on some
   // paths while other leaves stop shallow, so most slots are pads.
   GradientBoostedTrees::Params params;
@@ -880,15 +869,6 @@ TEST(Gbdt, TreesAtTheDepthCapWalkAndExplainConsistently) {
   EXPECT_GT(splits, 2 * params.max_depth);
   const Matrix probe = walk_probe(gbdt, d.features(), 96);
   (void)probe_hash(gbdt, probe);  // batches agree bitwise with per-row
-  std::vector<double> contributions(probe.cols());
-  for (std::size_t r = 0; r < probe.rows(); ++r) {
-    double bias = 0.0;
-    ASSERT_TRUE(gbdt.explain(probe.row(r), contributions, &bias));
-    const double z = std::accumulate(contributions.begin(),
-                                     contributions.end(), bias);
-    const double p = gbdt.predict_proba(probe.row(r));
-    EXPECT_NEAR(1.0 / (1.0 + std::exp(-z)), p, 1e-5) << "row " << r;
-  }
 }
 
 }  // namespace

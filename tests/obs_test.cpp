@@ -271,6 +271,7 @@ TEST_F(ObsTest, TracingLeavesTwoStageResultsBitIdentical) {
   EXPECT_EQ(off.metrics.positive.precision, on.metrics.positive.precision);
   EXPECT_EQ(off.metrics.positive.recall, on.metrics.positive.recall);
   EXPECT_EQ(off.metrics.accuracy, on.metrics.accuracy);
+  EXPECT_EQ(off.offender_nodes, on.offender_nodes);
   // The audit numbers are part of the run, not of the obs switch.
   ASSERT_TRUE(off.quality.valid);
   ASSERT_TRUE(on.quality.valid);

@@ -1,7 +1,7 @@
 // Minimal JSON parser shared by tools/bench_diff and the tests. Validates
 // full JSON documents and decodes strings (including escapes), so the
-// Chrome trace, BENCH_*.json, and REPRO_AUDIT JSONL outputs can be checked
-// for well-formedness rather than by substring luck. Top-level scalar
+// Chrome trace and BENCH_*.json outputs can be checked for well-formedness
+// rather than by substring luck. Top-level scalar
 // key/value pairs land in `flat` (decoded) and, when numeric, in `numbers`;
 // every decoded string lands in `strings`. Header-only, so bench_diff
 // links no repro library.
